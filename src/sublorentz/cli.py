@@ -40,6 +40,7 @@ from .transport import (
     check_cyclical_monotonicity,
     cost_matrix,
     duality_gap,
+    solve_cost_matrix,
     solve_kantorovich,
     strengthen_duals,
 )
@@ -198,8 +199,8 @@ def _load_pair(args):
 def cmd_solve(args) -> int:
     mu, nu = _load_pair(args)
     params = CostParams(args.p)
-    plan, duals = solve_kantorovich(mu, nu, params)
     cm = cost_matrix(mu, nu, params)
+    plan, duals = solve_cost_matrix(cm, mu.weights, nu.weights)
     gap = duality_gap(plan, duals, mu, nu, cm)
     report = check_cyclical_monotonicity(plan, cm, max_cycle=6, seed=args.seed)
     print(f"value {_fmt(args, plan.value)}")
@@ -222,8 +223,8 @@ def cmd_solve(args) -> int:
 def cmd_brenier(args) -> int:
     mu, nu = _load_pair(args)
     params = CostParams(args.p)
-    plan, _ = solve_kantorovich(mu, nu, params)
     cm = cost_matrix(mu, nu, params)
+    plan, _ = solve_cost_matrix(cm, mu.weights, nu.weights)
     duals = strengthen_duals(plan, cm)
     pot = potential_from_duals(duals, nu, params)
     result = transport_map_from_duals(mu, pot, method="analytic")

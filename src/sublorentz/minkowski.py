@@ -30,7 +30,6 @@ from .causality import CausalRelation, PlanarPoint, classify, minkowski_tau, tau
 from .errors import GenerationFailure, NoCausalCoupling, ProjectionMismatch
 from .geodesics import log_map
 from .heisenberg import IDENTITY, FrameCovector, GroupPoint, mul
-from .simplex import solve_max_transport
 from .transport import (
     SUPPORT_TOL,
     CostMatrix,
@@ -38,6 +37,7 @@ from .transport import (
     DiscreteMeasure,
     DualPotentials,
     TransportPlan,
+    solve_cost_matrix,
     solve_kantorovich,
 )
 from .brenier import MapSample
@@ -113,12 +113,8 @@ def _plan_assignment(masses: np.ndarray) -> Optional[tuple]:
 def solve_minkowski(mu: PlanarMeasure, nu: PlanarMeasure, params: CostParams) -> MinkowskiSolution:
     """Maximize total gain of causal couplings between planar measures."""
     cost = planar_cost_matrix(mu, nu, params)
-    masses, phi, psi = solve_max_transport(
-        cost.values, cost.feasible, np.asarray(mu.weights), np.asarray(nu.weights)
-    )
-    value = float(np.sum(masses * cost.values))
-    plan = TransportPlan(masses, value)
-    return MinkowskiSolution(plan, DualPotentials(phi, psi), cost, _plan_assignment(masses))
+    plan, duals = solve_cost_matrix(cost, mu.weights, nu.weights)
+    return MinkowskiSolution(plan, duals, cost, _plan_assignment(plan.masses))
 
 
 class PlanarMapSample(NamedTuple):

@@ -1,30 +1,53 @@
-"""Dense transportation simplex with forbidden arcs and exact duals.
+"""Primal network simplex for transportation with forbidden arcs and exact duals.
 
 Maximizes sum_ij c[i,j] x[i,j] over the transportation polytope
 {x >= 0, row sums = supplies, column sums = demands} with x[i,j] forced to
-zero wherever allowed[i,j] is False.
+zero wherever allowed[i,j] is False.  Internally the problem is the
+minimum-cost flow with arc costs -c[i,j] on the allowed source->sink arcs.
 
 Design notes:
 
 * The basis is a spanning tree over sources, sinks and one artificial root
   node.  The initial tree is the all-artificial star (source->root and
   root->sink arcs carrying the marginals), so no phase-1 is needed.
-* Artificial arcs price at -M with M symbolic: costs, potentials and reduced
-  costs are (float, M-coefficient) pairs compared lexicographically, never a
-  literal large float.  Mass left on an artificial arc at optimality is
-  therefore an exact certificate that no admissible coupling exists.
-* Entering and leaving arcs follow Bland's smallest-index rule over a fixed
-  arc numbering (real arcs row-major, artificials after), which makes the
-  solve deterministic and cycling-free.
+* Artificial arcs cost M with M symbolic: potentials are kept as two arrays
+  (float part, M coefficient) and reduced costs are compared
+  lexicographically, M coefficient first, never through a literal large
+  float.  Mass left on an artificial arc at optimality is therefore an
+  exact certificate that no admissible coupling exists.  Artificial arcs
+  are never priced, so once one leaves the basis it stays out.
+* Pricing is block search (Grigoriadis 1986), the rule of the network
+  simplex of Bonneel, van de Panne, Paris & Heidrich (2011): reduced costs
+  of the allowed arcs are evaluated with numpy in blocks of ceil(sqrt(#arcs))
+  arcs, each search resumes where the previous one stopped, and the best arc
+  of the first block holding an eligible arc enters.
+* Anti-cycling uses strongly feasible trees (Cunningham 1976): every tree
+  arc carrying zero flow points toward the root.  The initial star is
+  strongly feasible because a sink with zero demand gets its artificial arc
+  oriented sink->root.  The leaving arc is the last blocking arc met when
+  walking the pivot cycle from its apex in the direction of the entering
+  arc (strict < on the tail side, <= on the head side, as in LEMON's
+  findLeavingArc), which keeps the tree strongly feasible and the number of
+  consecutive degenerate pivots finite.  The solve is deterministic.
+* The tree is stored as each node's parent, the arc to it, that arc's
+  orientation, depth and child lists.  A pivot re-hangs only the subtree
+  that the leaving arc cuts off, and shifts depth and potentials only on
+  that subtree.
 * Reported dual potentials are rebuilt from the real basic arcs alone:
   within each connected component of the real basis they are pinned by
   complementary slackness, and per-component offsets are then raised by a
   longest-path relaxation until every allowed arc satisfies
   psi[j] - phi[i] >= c[i,j].  This keeps artificial M-parts out of the
   reported numbers and the duality gap at roundoff scale.
+
+A DEBUG record on the "sublorentz" logger reports, per solve, the problem
+size, the pivots, the degenerate pivots (zero step) and the stranded mass.
 """
 
 from __future__ import annotations
+
+import logging
+import math
 
 import numpy as np
 
@@ -32,6 +55,28 @@ from .errors import NoCausalCoupling
 
 _MASS_TOL = 1e-12
 _PIVOT_TOL = 1e-12
+_RELAX_TOL = 1e-13
+
+_log = logging.getLogger("sublorentz")
+
+
+def longest_path(n_nodes, tail, head, weight):
+    """Least pi >= 0 with pi[head] >= pi[tail] + weight on every edge.
+
+    tail, head and weight are equal-length arrays of edges over nodes
+    0..n_nodes-1.  Jacobi rounds of the Bellman-Ford relaxation raise pi
+    where an edge demands more than 1e-13 above it.  Returns None when the
+    edges carry a positive cycle.
+    """
+    pi = np.zeros(n_nodes)
+    for _ in range(n_nodes + 1):
+        need = np.full(n_nodes, -np.inf)
+        np.maximum.at(need, head, pi[tail] + weight)
+        rise = need > pi + _RELAX_TOL
+        if not rise.any():
+            return pi
+        pi = np.where(rise, need, pi)
+    return None
 
 
 def solve_max_transport(values, allowed, supplies, demands, max_pivots=200000):
@@ -56,189 +101,174 @@ def solve_max_transport(values, allowed, supplies, demands, max_pivots=200000):
     if abs(sum(a) - sum(b)) > 1e-9:
         raise ValueError("supplies and demands must balance")
 
+    # Nodes: sources 0..n-1, sinks n..n+m-1, root n+m.  Arcs: the allowed
+    # real arcs 0..n_real-1 in row-major order, then node u's artificial arc
+    # n_real+u.
     root = n + m
-    n_nodes = n + m + 1
-    n_real = n * m
+    src, dst = np.nonzero(ok)
+    n_real = src.size
+    tails = src
+    heads = n + dst
+    cost = -c[src, dst]
+    nonbasic = np.ones(n_real, dtype=bool)
+    flow = [0.0] * n_real + a + b
 
-    # arc key -> (tail, head, cost_float, cost_m)
-    def arc_ends(k):
-        if k < n_real:
-            i, j = divmod(k, m)
-            return i, n + j
-        if k < n_real + n:
-            return k - n_real, root
-        return root, n + (k - n_real - n)
+    parent = [root] * (root + 1)
+    pred = [n_real + u for u in range(root + 1)]
+    up = [True] * (root + 1)  # tree arc of u points u -> parent[u]
+    depth = [1] * (root + 1)
+    children = [[] for _ in range(root + 1)]
+    children[root] = list(range(root))
+    parent[root], pred[root], depth[root] = -1, -1, 0
+    pi_f = np.zeros(root + 1)
+    pi_m = np.zeros(root + 1)
+    pi_m[:root] = -1.0  # u -> root at cost M: pi_u = -M
+    for j in range(m):
+        if b[j] > 0.0:  # root -> sink at cost M: pi = +M
+            up[n + j] = False
+            pi_m[n + j] = 1.0
 
-    def arc_cost(k):
-        if k < n_real:
-            i, j = divmod(k, m)
-            return c[i, j], 0.0
-        return 0.0, -1.0
-
-    real_keys = [i * m + j for i in range(n) for j in range(m) if ok[i, j]]
-
-    # flows
-    x = [[0.0] * m for _ in range(n)]
-    art_src = list(a)
-    art_snk = list(b)
-
-    def get_flow(k):
-        if k < n_real:
-            i, j = divmod(k, m)
-            return x[i][j]
-        if k < n_real + n:
-            return art_src[k - n_real]
-        return art_snk[k - n_real - n]
-
-    def add_flow(k, d):
-        if k < n_real:
-            i, j = divmod(k, m)
-            x[i][j] += d
-        elif k < n_real + n:
-            art_src[k - n_real] += d
-        else:
-            art_snk[k - n_real - n] += d
-
-    basic = set(range(n_real, n_real + n + m))
-
-    parent = [-1] * n_nodes
-    parent_key = [-1] * n_nodes
-    depth = [0] * n_nodes
-    pi_f = [0.0] * n_nodes
-    pi_m = [0.0] * n_nodes
-
-    def rebuild_tree():
-        adj = [[] for _ in range(n_nodes)]
-        for k in basic:
-            u, v = arc_ends(k)
-            adj[u].append((v, k))
-            adj[v].append((u, k))
-        seen = [False] * n_nodes
-        seen[root] = True
-        parent[root] = -1
-        parent_key[root] = -1
-        depth[root] = 0
-        pi_f[root] = 0.0
-        pi_m[root] = 0.0
-        stack = [root]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v, k in adj[u]:
-                if seen[v]:
-                    continue
-                seen[v] = True
-                count += 1
-                parent[v] = u
-                parent_key[v] = k
-                depth[v] = depth[u] + 1
-                _t, h = arc_ends(k)
-                cf, cm = arc_cost(k)
-                if h == v:  # arc oriented u -> v: pi_v = pi_u + cost
-                    pi_f[v] = pi_f[u] + cf
-                    pi_m[v] = pi_m[u] + cm
-                else:  # arc oriented v -> u: pi_v = pi_u - cost
-                    pi_f[v] = pi_f[u] - cf
-                    pi_m[v] = pi_m[u] - cm
-                stack.append(v)
-        if count != n_nodes:
-            raise AssertionError("basis is not a spanning tree")
-
-    rebuild_tree()
-
-    for _ in range(max_pivots):
+    block = math.isqrt(n_real - 1) + 1 if n_real else 0
+    next_arc = 0
+    pivots = degenerate = 0
+    while True:
+        # Block search: the best eligible arc of the first block holding one.
         entering = -1
-        for k in real_keys:
-            if k in basic:
-                continue
-            i, j = divmod(k, m)
-            rm = 0.0 - (pi_m[n + j] - pi_m[i])
-            if rm > 0.5:
-                entering = k
-                break
-            if rm < -0.5:
-                continue
-            if c[i, j] - (pi_f[n + j] - pi_f[i]) > _PIVOT_TOL:
-                entering = k
+        scanned = 0
+        start = next_arc
+        while scanned < n_real:
+            stop = min(start + block, n_real)
+            t = tails[start:stop]
+            h = heads[start:stop]
+            rc_m = pi_m[t] - pi_m[h]
+            rc_f = cost[start:stop] + pi_f[t] - pi_f[h]
+            # M coefficients are whole numbers and decide first
+            eligible = (rc_m < -0.5) | ((rc_m < 0.5) & (rc_f < -_PIVOT_TOL))
+            eligible &= nonbasic[start:stop]
+            scanned += stop - start
+            lo, start = start, (stop if stop < n_real else 0)
+            if eligible.any():
+                idx = np.flatnonzero(eligible)
+                idx = idx[rc_m[idx] == rc_m[idx].min()]
+                k = idx[np.argmin(rc_f[idx])]
+                entering = lo + int(k)
+                sigma_f, sigma_m = float(rc_f[k]), float(rc_m[k])
+                next_arc = start
                 break
         if entering < 0:
             break
+        if pivots == max_pivots:
+            raise RuntimeError("pivot limit exceeded; this indicates a solver bug")
+        pivots += 1
 
-        tail, head = arc_ends(entering)
-        # tree cycle: entering tail->head plus tree path head -> ... -> tail.
-        # Collect (key, increases) along the path by climbing both endpoints
-        # to their common ancestor.
-        path = []  # (key, increases)
-        u, v = tail, head
-        while depth[u] > depth[v]:
-            k = parent_key[u]
-            t, _h = arc_ends(k)
-            # cycle travels parent->u on the tail side
-            path.append((k, t != u))
-            u = parent[u]
-        while depth[v] > depth[u]:
-            k = parent_key[v]
-            t, _h = arc_ends(k)
-            # cycle travels v->parent on the head side
-            path.append((k, t == v))
-            v = parent[v]
+        # The cycle runs tail -> head along the entering arc, then up the
+        # tree from head to the apex and down from the apex to tail.
+        first, second = int(tails[entering]), int(heads[entering])
+        u, v = first, second
         while u != v:
-            k = parent_key[u]
-            t, _h = arc_ends(k)
-            path.append((k, t != u))
-            u = parent[u]
-            k = parent_key[v]
-            t, _h = arc_ends(k)
-            path.append((k, t == v))
-            v = parent[v]
+            if depth[u] >= depth[v]:
+                u = parent[u]
+            else:
+                v = parent[v]
+        apex = u
 
-        theta = None
-        leaving = -1
-        for k, inc in path:
-            if inc:
-                continue
-            f = get_flow(k)
-            if theta is None or f < theta or (f == theta and k < leaving):
-                theta = f
-                leaving = k
-        if leaving < 0:
+        # Leaving arc: last blocking arc met walking the cycle from the apex.
+        theta = math.inf
+        u_out = -1
+        tail_side = True
+        u = first
+        while u != apex:
+            if up[u] and flow[pred[u]] < theta:
+                theta = flow[pred[u]]
+                u_out = u
+            u = parent[u]
+        u = second
+        while u != apex:
+            if not up[u] and flow[pred[u]] <= theta:
+                theta = flow[pred[u]]
+                u_out = u
+                tail_side = False
+            u = parent[u]
+        if u_out < 0:
             raise AssertionError("transportation cycle without reverse arc")
 
         if theta > 0.0:
-            add_flow(entering, theta)
-            for k, inc in path:
-                add_flow(k, theta if inc else -theta)
-        basic.remove(leaving)
-        basic.add(entering)
-        rebuild_tree()
-    else:
-        raise RuntimeError("pivot limit exceeded; this indicates a solver bug")
+            flow[entering] = theta
+            u = first
+            while u != apex:
+                flow[pred[u]] += -theta if up[u] else theta
+                u = parent[u]
+            u = second
+            while u != apex:
+                flow[pred[u]] += theta if up[u] else -theta
+                u = parent[u]
+        else:
+            degenerate += 1
 
-    stranded = max(
-        sum(f for f in art_src if f > _MASS_TOL),
-        sum(f for f in art_snk if f > _MASS_TOL),
-    )
+        leaving = pred[u_out]
+        nonbasic[entering] = False
+        if leaving < n_real:
+            nonbasic[leaving] = True
+
+        # Re-hang the cut-off subtree: reverse the tree path from the
+        # entering arc's endpoint inside it up to u_out.
+        if tail_side:
+            u_in, new_parent, new_up = first, second, True
+        else:
+            u_in, new_parent, new_up = second, first, False
+            sigma_f, sigma_m = -sigma_f, -sigma_m
+        new_arc = entering
+        u = u_in
+        while True:
+            old_parent, old_arc, old_up = parent[u], pred[u], up[u]
+            children[old_parent].remove(u)
+            children[new_parent].append(u)
+            parent[u], pred[u], up[u] = new_parent, new_arc, new_up
+            if u == u_out:
+                break
+            new_parent, new_arc, new_up = u, old_arc, not old_up
+            u = old_parent
+
+        # Depth and potentials change only on the re-hung subtree.
+        depth[u_in] = depth[parent[u_in]] + 1
+        stack = [u_in]
+        moved = []
+        while stack:
+            u = stack.pop()
+            moved.append(u)
+            d = depth[u] + 1
+            for w in children[u]:
+                depth[w] = d
+                stack.append(w)
+        pi_f[moved] -= sigma_f
+        pi_m[moved] -= sigma_m
+
+    # mass the real arcs leave unrouted: unshipped supply, unmet demand
+    unshipped = sum(f for f in flow[n_real:n_real + n] if f > _MASS_TOL)
+    unmet = sum(f for f, d in zip(flow[n_real + n:], b) if d > 0.0 and f > _MASS_TOL)
+    stranded = max(unshipped, unmet)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "solve_max_transport n=%d m=%d pivots=%d degenerate=%d stranded=%.3e",
+            n, m, pivots, degenerate, stranded,
+        )
     if stranded > _MASS_TOL:
         raise NoCausalCoupling(
             f"no admissible coupling: {stranded:.3e} mass cannot be routed"
         )
 
-    masses = np.array(x, dtype=float)
-    masses[masses < 0.0] = 0.0
-    masses[~ok] = 0.0
-
-    phi, psi = _rebuild_duals(c, ok, basic, n, m)
+    masses = np.zeros((n, m))
+    masses[src, dst] = flow[:n_real]
+    basic = [k for k in pred[:root] if k < n_real]
+    phi, psi = _rebuild_duals(c, ok, src[basic], dst[basic])
     return masses, phi, psi
 
 
-def _rebuild_duals(c, ok, basic, n, m):
-    """Clean dual potentials from the real part of the optimal basis."""
-    n_real = n * m
+def _rebuild_duals(c, ok, basic_src, basic_dst):
+    """Clean dual potentials from the real arcs of the optimal basis."""
+    n, m = c.shape
     adj = [[] for _ in range(n + m)]  # sources 0..n-1, sinks n..n+m-1
-    for k in basic:
-        if k >= n_real:
-            continue
-        i, j = divmod(k, m)
+    for i, j in zip(basic_src.tolist(), basic_dst.tolist()):
         adj[i].append(n + j)
         adj[n + j].append(i)
 
@@ -249,7 +279,6 @@ def _rebuild_duals(c, ok, basic, n, m):
         if comp[start] >= 0:
             continue
         comp[start] = n_comp
-        base[start] = 0.0
         stack = [start]
         while stack:
             u = stack.pop()
@@ -265,31 +294,16 @@ def _rebuild_duals(c, ok, basic, n, m):
         n_comp += 1
 
     # Component offsets: delta[B] - delta[A] >= c_ij - (psi_j - phi_i) for
-    # every allowed cross-component arc.  Longest-path relaxation; converges
-    # because an improving cycle would contradict primal optimality.
-    edges = []
-    for i in range(n):
-        for j in range(m):
-            if not ok[i, j]:
-                continue
-            ca, cb = comp[i], comp[n + j]
-            if ca == cb:
-                continue
-            edges.append((ca, cb, c[i, j] - (base[n + j] - base[i])))
-    delta = [0.0] * n_comp
-    for _ in range(n_comp + 1):
-        changed = False
-        for ca, cb, w in edges:
-            need = delta[ca] + w
-            if need > delta[cb] + 1e-13:
-                delta[cb] = need
-                changed = True
-        if not changed:
-            break
-    else:
-        if changed:
-            raise AssertionError("dual offsets failed to stabilize")
-
-    phi = np.array([base[i] + delta[comp[i]] for i in range(n)])
-    psi = np.array([base[n + j] + delta[comp[n + j]] for j in range(m)])
-    return phi, psi
+    # every allowed cross-component arc.  Converges because an improving
+    # cycle would contradict primal optimality.
+    comp = np.array(comp)
+    base = np.array(base)
+    src, dst = np.nonzero(ok)
+    ca, cb = comp[src], comp[n + dst]
+    cross = ca != cb
+    gain = c[src, dst] - (base[n + dst] - base[src])
+    delta = longest_path(n_comp, ca[cross], cb[cross], gain[cross])
+    if delta is None:
+        raise AssertionError("dual offsets failed to stabilize")
+    pot = base + delta[comp]
+    return pot[:n], pot[n:]

@@ -21,7 +21,7 @@ import numpy as np
 from .causality import CausalRelation, classify, tau
 from .errors import InfeasibleDuals, NoCausalCoupling, WeightError
 from .heisenberg import GroupPoint
-from .simplex import solve_max_transport
+from .simplex import longest_path, solve_max_transport
 
 SUPPORT_TOL = 1e-12
 
@@ -127,9 +127,13 @@ def solve_kantorovich(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostPara
     on the support of the plan.  Raises NoCausalCoupling when the feasible
     pairs cannot carry the full mass.
     """
-    cm = cost_matrix(mu, nu, params)
-    masses, phi, psi = solve_max_transport(cm.values, cm.feasible, mu.weights, nu.weights)
-    value = float(np.sum(masses * cm.values))
+    return solve_cost_matrix(cost_matrix(mu, nu, params), mu.weights, nu.weights)
+
+
+def solve_cost_matrix(cost: CostMatrix, supplies, demands):
+    """solve_kantorovich on an already built cost matrix and marginals."""
+    masses, phi, psi = solve_max_transport(cost.values, cost.feasible, supplies, demands)
+    value = float(np.sum(masses * cost.values))
     return TransportPlan(masses, value), DualPotentials(phi, psi)
 
 
@@ -148,36 +152,20 @@ def strengthen_duals(plan: TransportPlan, cost: CostMatrix, margin_cap: float = 
     plans); the returned duals are then the minimal feasible ones.
     """
     n, m = plan.masses.shape
-    support = plan.support()
-    sup_set = set(support)
-    edges_eq = []
-    for i, j in support:
-        c = cost.values[i, j]
-        edges_eq.append((i, n + j, c))
-        edges_eq.append((n + j, i, -c))
-    slack_arcs = [
-        (i, n + j, cost.values[i, j])
-        for i in range(n)
-        for j in range(m)
-        if cost.feasible[i, j] and (i, j) not in sup_set
-    ]
-    n_nodes = n + m
+    on = plan.masses > SUPPORT_TOL
+    si, sj = np.nonzero(on)
+    fi, fj = np.nonzero(cost.feasible & ~on)
+    # support pairs bind both ways; other feasible pairs carry the margin
+    tail = np.concatenate([si, n + sj, fi])
+    head = np.concatenate([n + sj, si, n + fj])
+    gain = cost.values[si, sj]
+    bound = np.concatenate([gain, -gain])
+    slack = cost.values[fi, fj]
 
     def solve_margin(margin):
         # least potentials with pi_v >= pi_u + w on all edges; None when the
         # constraints carry a positive cycle (margin too large).
-        pi = [0.0] * n_nodes
-        edges = edges_eq + [(u, v, w + margin) for (u, v, w) in slack_arcs]
-        for _ in range(n_nodes + 1):
-            changed = False
-            for u, v, w in edges:
-                need = pi[u] + w
-                if need > pi[v] + 1e-13:
-                    pi[v] = need
-                    changed = True
-            if not changed:
-                return pi
-        return None
+        return longest_path(n + m, tail, head, np.concatenate([bound, slack + margin]))
 
     if solve_margin(0.0) is None:
         raise InfeasibleDuals("support equalities admit no feasible duals")
@@ -197,7 +185,7 @@ def strengthen_duals(plan: TransportPlan, cost: CostMatrix, margin_cap: float = 
             if hi - lo <= 1e-9 + 1e-6 * lo:
                 break
     pi = solve_margin(0.5 * lo)
-    return DualPotentials(np.array(pi[:n]), np.array(pi[n:]))
+    return DualPotentials(pi[:n], pi[n:])
 
 
 def lorentz_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams) -> float:

@@ -214,3 +214,20 @@ def test_gain_parameter_sweep_keeps_duality_tight():
         plan, duals = solve_kantorovich(mu, nu, params)
         cm = cost_matrix(mu, nu, params)
         assert abs(duality_gap(plan, duals, mu, nu, cm)) <= 1e-9
+
+
+def test_solve_logs_pivot_count(caplog):
+    import logging
+    import re
+
+    mu, nu = sample_chronological_pair(6, 6, seed=3, weights="random")
+    with caplog.at_level(logging.DEBUG, logger="sublorentz"):
+        solve_kantorovich(mu, nu, P)
+    records = [r.getMessage() for r in caplog.records if r.name == "sublorentz"]
+    assert len(records) == 1
+    fields = dict(re.findall(r"(\w+)=(\S+)", records[0]))
+    assert fields["n"] == "6" and fields["m"] == "6"
+    assert 0 <= int(fields["degenerate"]) <= int(fields["pivots"])
+    # the artificial start basis needs at least one pivot per real basic arc
+    assert int(fields["pivots"]) >= 6
+    assert float(fields["stranded"]) == 0.0
