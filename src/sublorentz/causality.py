@@ -9,6 +9,23 @@ inverse of
     alpha(t) = (sinh(2t) - 2t) / (8 sinh(t)^2),
 
 an odd, strictly increasing bijection of the real line onto (-1/4, 1/4).
+
+One cone test, :func:`cone_state`, decides both causal relations.  It
+compares the cone form F with ``slack`` times S = x^2 + y^2 + 4|z|, and x
+with ``slack`` times sqrt(S).  F and S scale alike under the dilations
+(x, y, z) -> (l x, l y, l^2 z), so the verdict does not depend on the scale
+of the pair.  A point within ``slack`` relative of the boundary counts as
+null: the planar point (1, 1 - 1e-13, 0) is null, though it is timelike.
+
+Each kernel comes twice.  The scalar functions (``classify``, ``tau``,
+``beta``) take GroupPoints and serve single pairs.  The array kernels
+(``classify_array``, ``tau_array``, ``beta_array``) take float arrays whose
+last axis holds (x, y, z) and broadcast over the leading axes, so one call
+covers every pair of two atom families.  Both apply ``cone_state`` to
+``heisenberg.group_difference``, which takes arrays too, so their masks
+agree bit for bit.  ``beta_array`` is the scalar safeguarded Newton iteration run
+on the entries that have not converged yet; numpy's sinh and cosh may differ
+from the math module's in the last bit, so values agree to roundoff.
 """
 
 from __future__ import annotations
@@ -16,6 +33,8 @@ from __future__ import annotations
 import enum
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import NotCausalChain, NotChronological, OutOfDomain
 from .heisenberg import GroupPoint, group_difference
@@ -34,22 +53,58 @@ class CausalRelation(enum.Enum):
     UNRELATED = "Unrelated"
 
 
+def cone_state(x, y, z, slack: float = DEFAULT_SLACK):
+    """(chronological, causal) verdicts on a group difference (x, y, z).
+
+    With F = -x^2 + y^2 + 4|z| and S = x^2 + y^2 + 4|z|, the pair is
+    chronological when F < -slack S and x > 0, and causal (chronological or
+    null) when F <= slack S and x >= -slack sqrt(S).  Written in & / abs
+    arithmetic, so x, y, z may be floats or numpy arrays of one shape.
+    """
+    xx = x * x
+    r = y * y + 4.0 * abs(z)
+    f = r - xx
+    s = r + xx
+    del xx, r  # on large arrays, fewer temporaries alive at once
+    chronological = (f < -slack * s) & (x > 0.0)
+    causal = (f <= slack * s) & (x >= -slack * s**0.5)
+    return chronological, causal
+
+
 def classify(q0: GroupPoint, q: GroupPoint, slack: float = DEFAULT_SLACK) -> CausalRelation:
     """Causal relation of q relative to q0.
 
-    Evaluates F = -x^2 + y^2 + 4|z| on the group difference q0^{-1} q.
-    F < 0 with x > 0 is the open chronological future; F = 0 with x >= 0 is
-    the null boundary (reachable, zero time separation).  The slack absorbs
+    Applies :func:`cone_state` to the group difference q0^{-1} q: F < 0
+    with x > 0 is the open chronological future, F = 0 with x >= 0 the null
+    boundary (reachable, zero time separation).  The relative slack absorbs
     roundoff on points constructed to lie on the boundary; callers needing a
     different margin pass their own.
     """
     d = group_difference(q0, q)
-    f = -d.x * d.x + d.y * d.y + 4.0 * abs(d.z)
-    if f < -slack and d.x > 0.0:
+    chronological, causal = cone_state(d.x, d.y, d.z, slack)
+    if chronological:
         return CausalRelation.CHRONOLOGICAL
-    if f <= slack and d.x >= -slack:
+    if causal:
         return CausalRelation.CAUSAL_NULL
     return CausalRelation.UNRELATED
+
+
+def _differences(a, b):
+    """group_difference of broadcast point arrays whose last axis is (x, y, z)."""
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    return group_difference(GroupPoint(a[..., 0], a[..., 1], a[..., 2]), GroupPoint(b[..., 0], b[..., 1], b[..., 2]))
+
+
+def classify_array(a, b, slack: float = DEFAULT_SLACK):
+    """(chronological, causal) masks of the pairs (a, b).
+
+    a and b are float arrays whose last axis holds (x, y, z); the leading
+    axes broadcast, so ``classify_array(p[:, None], q[None, :])`` tests every
+    pair of two families.  Entry by entry the masks are those of
+    :func:`classify`.
+    """
+    return cone_state(*_differences(a, b), slack)
 
 
 # Series branches: the closed forms for alpha and alpha' lose digits to
@@ -80,7 +135,12 @@ def alpha_prime(t: float) -> float:
     return 0.5 - 2.0 * alpha(t) * (math.cosh(t) / math.sinh(t))
 
 
-def beta(zeta: float, tol: float = 1e-13, max_iter: int = 200) -> float:
+_BETA_TOL = 1e-13
+_BETA_MAX_ITER = 200
+_BETA_HI_CAP = 64.0  # alpha(64) is within 1e-50 of 1/4; no double below 1/4 needs more
+
+
+def beta(zeta: float, tol: float = _BETA_TOL, max_iter: int = _BETA_MAX_ITER) -> float:
     """Inverse of alpha on (-1/4, 1/4).
 
     Safeguarded Newton iteration: steps that leave the current bracket fall
@@ -98,8 +158,7 @@ def beta(zeta: float, tol: float = 1e-13, max_iter: int = 200) -> float:
     hi = max(8.0 * target, 1e-8)
     while alpha(hi) < target:
         hi *= 2.0
-        if hi > 64.0:
-            # alpha(64) is within 1e-50 of 1/4; no double below 1/4 needs more.
+        if hi > _BETA_HI_CAP:
             break
 
     b = min(8.0 * target, hi)
@@ -119,6 +178,66 @@ def beta(zeta: float, tol: float = 1e-13, max_iter: int = 200) -> float:
     return sign * b
 
 
+def _alpha_terms(t):
+    """alpha and alpha' on an array of t > 0, with the scalar series branch."""
+    small = t < _ALPHA_SERIES_CUT
+    some_small = small.any()
+    tc = np.where(small, 1.0, t) if some_small else t
+    sh = np.sinh(tc)
+    a = (np.sinh(2.0 * tc) - 2.0 * tc) / (8.0 * sh * sh)
+    da = 0.5 - 2.0 * a * (np.cosh(tc) / sh)
+    if some_small:
+        ts = t[small]
+        t2 = ts * ts
+        a[small] = ts * (1.0 / 6.0 + t2 * (-1.0 / 45.0 + t2 / 315.0))
+        da[small] = 1.0 / 6.0 + t2 * (-1.0 / 15.0 + t2 / 63.0)
+    return a, da
+
+
+def beta_array(zeta) -> np.ndarray:
+    """:func:`beta` on every entry of an array.
+
+    The same bracket growth, Newton steps, bisection fallback and stop rules
+    as the scalar iteration; each round works only on the entries that have
+    not stopped yet.
+    """
+    zeta = np.asarray(zeta, float)
+    if not np.all(np.abs(zeta) < 0.25):
+        raise OutOfDomain("beta requires |zeta| < 1/4 on every entry")
+    out = np.zeros(zeta.size)
+    at = np.flatnonzero(zeta)
+    target = np.abs(zeta.ravel()[at])
+    hi = np.maximum(8.0 * target, 1e-8)
+    grow = np.arange(at.size)
+    while grow.size:
+        grow = grow[_alpha_terms(hi[grow])[0] < target[grow]]
+        hi[grow] *= 2.0
+        grow = grow[hi[grow] <= _BETA_HI_CAP]
+
+    b = np.minimum(8.0 * target, hi)
+    lo = np.zeros_like(b)
+    for _ in range(_BETA_MAX_ITER):
+        if not at.size:
+            break
+        a, da = _alpha_terms(b)
+        f = a - target
+        done = np.abs(f) <= _BETA_TOL
+        over = f > 0.0
+        hi = np.where(over, b, hi)
+        lo = np.where(over, lo, b)
+        newton = da > 0.0
+        nb = np.where(newton, b - f / np.where(newton, da, 1.0), lo)
+        step = np.where((lo < nb) & (nb < hi), nb, 0.5 * (lo + hi))
+        b = np.where(done, b, step)
+        done |= hi - lo <= 1e-16 * np.maximum(1.0, hi)
+        if done.any():
+            out[at[done]] = b[done]
+            go = ~done
+            at, target, b, lo, hi = at[go], target[go], b[go], lo[go], hi[go]
+    out[at] = b
+    return np.copysign(out.reshape(zeta.shape), zeta)
+
+
 def tau(q0: GroupPoint, q: GroupPoint, slack: float = DEFAULT_SLACK) -> float:
     """Time separation between q0 and q.
 
@@ -127,14 +246,33 @@ def tau(q0: GroupPoint, q: GroupPoint, slack: float = DEFAULT_SLACK) -> float:
 
         tau = sqrt(m) * b / sinh(b)      (= sqrt(m) at b = 0).
     """
-    if classify(q0, q, slack) is not CausalRelation.CHRONOLOGICAL:
-        return 0.0
     d = group_difference(q0, q)
+    if not cone_state(d.x, d.y, d.z, slack)[0]:
+        return 0.0
     m = (d.x - d.y) * (d.x + d.y)
     b = beta(d.z / m)
     if b == 0.0:
         return math.sqrt(m)
     return math.sqrt(m) * b / math.sinh(b)
+
+
+def tau_array(a, b, slack: float = DEFAULT_SLACK):
+    """(tau, causal) over the broadcast pairs (a, b) of :func:`classify_array`.
+
+    tau is zero off the chronological mask and given by the formula of
+    :func:`tau` on it; only chronological entries reach ``beta_array``.
+    """
+    x, y, z = _differences(a, b)
+    chronological, causal = cone_state(x, y, z, slack)
+    x, y, z = x[chronological], y[chronological], z[chronological]
+    m = (x - y) * (x + y)
+    bt = beta_array(z / m)
+    t = np.sqrt(m)
+    twisted = bt != 0.0
+    t[twisted] = t[twisted] * bt[twisted] / np.sinh(bt[twisted])
+    out = np.zeros(chronological.shape)
+    out[chronological] = t
+    return out, causal
 
 
 def minkowski_tau(u: PlanarPoint, v: PlanarPoint) -> float:

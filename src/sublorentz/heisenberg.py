@@ -69,8 +69,14 @@ def left_translate(base: GroupPoint, q: GroupPoint) -> GroupPoint:
 
 
 def group_difference(a: GroupPoint, b: GroupPoint) -> GroupPoint:
-    """a^{-1} * b: the position of b as seen from a after left translation."""
-    return mul(inv(a), b)
+    """a^{-1} * b: the position of b as seen from a after left translation.
+
+    Bit for bit the product mul(inv(a), b), with the negations folded into
+    the subtractions.  The coordinates may also be numpy arrays that
+    broadcast against each other, which gives the differences of many
+    pairs at once.
+    """
+    return GroupPoint(b.x - a.x, b.y - a.y, (b.z - a.z) + 0.5 * (a.y * b.x - a.x * b.y))
 
 
 def coord_to_frame(base: GroupPoint, cov: CoordCovector) -> FrameCovector:

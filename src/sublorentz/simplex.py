@@ -66,17 +66,50 @@ def longest_path(n_nodes, tail, head, weight):
     tail, head and weight are equal-length arrays of edges over nodes
     0..n_nodes-1.  Jacobi rounds of the Bellman-Ford relaxation raise pi
     where an edge demands more than 1e-13 above it.  Returns None when the
-    edges carry a positive cycle.
+    edges carry a positive cycle: after n_nodes + 1 rounds, or as soon as
+    the edges that last raised each node close a cycle heavier than its
+    length times 1e-13 (plus roundoff), which no potentials can satisfy
+    within the tolerance.  That bookkeeping starts at round 16, so short
+    searches cost what they did, and the cycle test runs every fourth round.
     """
     pi = np.zeros(n_nodes)
-    for _ in range(n_nodes + 1):
+    via = np.full(n_nodes, -1)  # edge that last raised each node, from round 16
+    for rounds in range(n_nodes + 1):
+        reach = pi[tail] + weight
         need = np.full(n_nodes, -np.inf)
-        np.maximum.at(need, head, pi[tail] + weight)
+        np.maximum.at(need, head, reach)
         rise = need > pi + _RELAX_TOL
         if not rise.any():
             return pi
+        if rounds >= 16:
+            hit = np.flatnonzero(rise[head] & (reach == need[head]))
+            via[head[hit]] = hit
         pi = np.where(rise, need, pi)
+        if rounds >= 16 and rounds % 4 == 3 and _raised_cycle_is_positive(pi, via, tail, weight):
+            return None
     return None
+
+
+def _raised_cycle_is_positive(pi, via, tail, weight):
+    """Whether the raising edges close a cycle of weight above its length
+    times the relaxation tolerance, with allowance for roundoff."""
+    n = pi.size
+    up = np.append(np.where(via >= 0, tail[via], n), n)  # node n: no raiser
+    for _ in range(max(1, n.bit_length())):
+        up = up[up]  # 2^k steps up the raising edges
+    cyclic = np.flatnonzero(up[:n] < n)
+    if not cyclic.size:
+        return False
+    start = node = int(up[cyclic[0]])  # at least n steps up: on the cycle
+    edges = []
+    while True:
+        edges.append(int(via[node]))
+        node = int(tail[edges[-1]])
+        if node == start:
+            break
+    w = weight[edges]
+    allowance = len(edges) * _RELAX_TOL + 1e-12 * float(np.abs(w).sum() + np.abs(pi[tail[edges]]).sum())
+    return float(w.sum()) > allowance
 
 
 def solve_max_transport(values, allowed, supplies, demands, max_pivots=200000):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causality import CausalRelation, classify, tau
+from .causality import tau_array
 from .errors import InfeasibleDuals, NoCausalCoupling, WeightError
 from .heisenberg import GroupPoint
 from .simplex import longest_path, solve_max_transport
@@ -86,18 +86,11 @@ class CostMatrix:
 
 
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams) -> CostMatrix:
-    n, m = len(mu), len(nu)
-    values = np.zeros((n, m))
-    feasible = np.zeros((n, m), dtype=bool)
-    for i, x in enumerate(mu.atoms):
-        for j, y in enumerate(nu.atoms):
-            rel = classify(x, y)
-            if rel is CausalRelation.UNRELATED:
-                continue
-            feasible[i, j] = True
-            if rel is CausalRelation.CHRONOLOGICAL:
-                values[i, j] = params.gain(tau(x, y))
-    return CostMatrix(values, feasible, params)
+    """Gains and feasibility of every pair, from one broadcast of tau_array."""
+    x = np.array(mu.atoms, dtype=float)
+    y = np.array(nu.atoms, dtype=float)
+    t, feasible = tau_array(x[:, None, :], y[None, :, :])
+    return CostMatrix(t**params.p / params.p, feasible, params)
 
 
 @dataclass(frozen=True)
