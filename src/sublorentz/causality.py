@@ -76,9 +76,12 @@ def classify(q0: GroupPoint, q: GroupPoint, slack: float = DEFAULT_SLACK) -> Cau
 
     Applies :func:`cone_state` to the group difference q0^{-1} q: F < 0
     with x > 0 is the open chronological future, F = 0 with x >= 0 the null
-    boundary (reachable, zero time separation).  The relative slack absorbs
-    roundoff on points constructed to lie on the boundary; callers needing a
-    different margin pass their own.
+    boundary (reachable, zero time separation).  The slack absorbs roundoff
+    on points constructed to lie on the boundary.  It is relative: F is
+    compared with slack * S, S = x^2 + y^2 + 4|z|, so a pair with x > 0 is
+    null when |F| <= slack * S, whatever its scale.
+    Callers needing a different margin pass their own, in the same relative
+    units.
     """
     d = group_difference(q0, q)
     chronological, causal = cone_state(d.x, d.y, d.z, slack)
@@ -96,15 +99,15 @@ def _differences(a, b):
     return group_difference(GroupPoint(a[..., 0], a[..., 1], a[..., 2]), GroupPoint(b[..., 0], b[..., 1], b[..., 2]))
 
 
-def classify_array(a, b, slack: float = DEFAULT_SLACK):
+def classify_array(a, b):
     """(chronological, causal) masks of the pairs (a, b).
 
     a and b are float arrays whose last axis holds (x, y, z); the leading
     axes broadcast, so ``classify_array(p[:, None], q[None, :])`` tests every
     pair of two families.  Entry by entry the masks are those of
-    :func:`classify`.
+    :func:`classify` at the default slack.
     """
-    return cone_state(*_differences(a, b), slack)
+    return cone_state(*_differences(a, b), DEFAULT_SLACK)
 
 
 # Series branches: the closed forms for alpha and alpha' lose digits to
@@ -245,6 +248,9 @@ def tau(q0: GroupPoint, q: GroupPoint, slack: float = DEFAULT_SLACK) -> float:
     (x, y, z) the group difference, m = x^2 - y^2 and b = beta(z / m),
 
         tau = sqrt(m) * b / sinh(b)      (= sqrt(m) at b = 0).
+
+    ``slack`` is the relative margin of :func:`classify`: pairs within
+    slack * S of the null boundary get tau = 0.
     """
     d = group_difference(q0, q)
     if not cone_state(d.x, d.y, d.z, slack)[0]:
@@ -256,14 +262,14 @@ def tau(q0: GroupPoint, q: GroupPoint, slack: float = DEFAULT_SLACK) -> float:
     return math.sqrt(m) * b / math.sinh(b)
 
 
-def tau_array(a, b, slack: float = DEFAULT_SLACK):
+def tau_array(a, b):
     """(tau, causal) over the broadcast pairs (a, b) of :func:`classify_array`.
 
     tau is zero off the chronological mask and given by the formula of
     :func:`tau` on it; only chronological entries reach ``beta_array``.
     """
     x, y, z = _differences(a, b)
-    chronological, causal = cone_state(x, y, z, slack)
+    chronological, causal = cone_state(x, y, z, DEFAULT_SLACK)
     x, y, z = x[chronological], y[chronological], z[chronological]
     m = (x - y) * (x + y)
     bt = beta_array(z / m)

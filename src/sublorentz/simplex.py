@@ -68,10 +68,16 @@ def longest_path(n_nodes, tail, head, weight):
     where an edge demands more than 1e-13 above it.  Returns None when the
     edges carry a positive cycle: after n_nodes + 1 rounds, or as soon as
     the edges that last raised each node close a cycle heavier than its
-    length times 1e-13 (plus roundoff), which no potentials can satisfy
-    within the tolerance.  That bookkeeping starts at round 16, so short
+    length times 1e-13 plus a roundoff allowance.  The allowance bounds the
+    rounding of every potential the full rounds could still reach (at most
+    n_nodes + 1 times the largest weight), not just of today's, so no
+    potentials can then satisfy the cycle within the tolerance and the full
+    rounds end in None too.  That bookkeeping starts at round 16, so short
     searches cost what they did, and the cycle test runs every fourth round.
     """
+    # 2|pi| + |weight| + 1 stays below this on every round, so the rounding
+    # of one edge's relaxation test is below 1.2e-16 times it
+    scale = (2 * n_nodes + 3) * float(np.abs(weight).max(initial=0.0)) + 1.0
     pi = np.zeros(n_nodes)
     via = np.full(n_nodes, -1)  # edge that last raised each node, from round 16
     for rounds in range(n_nodes + 1):
@@ -85,15 +91,16 @@ def longest_path(n_nodes, tail, head, weight):
             hit = np.flatnonzero(rise[head] & (reach == need[head]))
             via[head[hit]] = hit
         pi = np.where(rise, need, pi)
-        if rounds >= 16 and rounds % 4 == 3 and _raised_cycle_is_positive(pi, via, tail, weight):
+        if rounds >= 16 and rounds % 4 == 3 and _raised_cycle_is_positive(via, tail, weight, scale):
             return None
     return None
 
 
-def _raised_cycle_is_positive(pi, via, tail, weight):
+def _raised_cycle_is_positive(via, tail, weight, scale):
     """Whether the raising edges close a cycle of weight above its length
-    times the relaxation tolerance, with allowance for roundoff."""
-    n = pi.size
+    times the relaxation tolerance, with allowance for roundoff at
+    magnitudes up to scale."""
+    n = via.size
     up = np.append(np.where(via >= 0, tail[via], n), n)  # node n: no raiser
     for _ in range(max(1, n.bit_length())):
         up = up[up]  # 2^k steps up the raising edges
@@ -108,7 +115,7 @@ def _raised_cycle_is_positive(pi, via, tail, weight):
         if node == start:
             break
     w = weight[edges]
-    allowance = len(edges) * _RELAX_TOL + 1e-12 * float(np.abs(w).sum() + np.abs(pi[tail[edges]]).sum())
+    allowance = len(edges) * (_RELAX_TOL + 1e-15 * scale) + 1e-15 * float(np.abs(w).sum())
     return float(w.sum()) > allowance
 
 

@@ -36,8 +36,10 @@ class CostParams:
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie strictly in (0, 1), got {self.p!r}")
 
-    def gain(self, t: float) -> float:
-        """tau^p / p; zero at tau = 0."""
+    def gain(self, t):
+        """tau^p / p, zero where tau <= 0; t is a float or a numpy array."""
+        if isinstance(t, np.ndarray):
+            return np.maximum(t, 0.0) ** self.p / self.p
         if t <= 0.0:
             return 0.0
         return t**self.p / self.p
@@ -90,7 +92,7 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams) ->
     x = np.array(mu.atoms, dtype=float)
     y = np.array(nu.atoms, dtype=float)
     t, feasible = tau_array(x[:, None, :], y[None, :, :])
-    return CostMatrix(t**params.p / params.p, feasible, params)
+    return CostMatrix(params.gain(t), feasible, params)
 
 
 @dataclass(frozen=True)

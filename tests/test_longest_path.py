@@ -55,3 +55,18 @@ def test_same_result_as_plain_relaxation(cycle_weight):
 def test_no_edges():
     empty = np.array([], dtype=int)
     np.testing.assert_array_equal(longest_path(3, empty, empty, np.array([])), np.zeros(3))
+
+
+def test_cycle_raised_late_by_a_heavy_path():
+    # A cycle gaining 1e-11 a lap at potentials near 0.5, reached only at
+    # round 22 by a chain that lifts it to 1e6, where the lap's gain is lost
+    # to rounding: the plain relaxation then converges, so the early stop
+    # must not have fired on the small potentials it saw before.
+    chain = 22
+    c0, c1 = chain + 1, chain + 2
+    tail = np.array(list(range(chain)) + [chain, c0, c1])
+    head = np.array(list(range(1, chain + 1)) + [c0, c1, c0])
+    weight = np.array([1e6] + [0.0] * (chain - 1) + [0.0, 0.5, -0.5 + 1e-11])
+    want = _plain_relaxation(chain + 3, tail, head, weight)
+    assert want is not None and want[c0] == 1e6
+    np.testing.assert_array_equal(longest_path(chain + 3, tail, head, weight), want)
