@@ -6,9 +6,10 @@ Core layers:
 * :mod:`sublorentz.causality` -- causal classification, time separation tau;
 * :mod:`sublorentz.geodesics` -- Hamiltonian flow, exp/log maps, null boundary;
 * :mod:`sublorentz.transport` -- causal Kantorovich problem, duals, monotonicity;
-* :mod:`sublorentz.brenier` -- semi-discrete potentials, transport maps,
-  displacement interpolation, mass-conservation residuals;
-* :mod:`sublorentz.minkowski` -- Minkowski-plane reference problem and lifts;
+* :mod:`sublorentz.brenier` -- semi-discrete potentials, forward and backward
+  transport maps, displacement interpolation, mass-conservation residuals;
+* :mod:`sublorentz.minkowski` -- Minkowski-plane reference problem on the
+  (x, y) projection of a measure, lifts, right-translation verdicts;
 * :mod:`sublorentz.measures_io` -- measure/plan file formats and samplers.
 
 The ``sublorentz`` command line tool fronts the same operations.
@@ -26,7 +27,6 @@ from .heisenberg import (
     frame_to_coord,
     group_difference,
     inv,
-    left_translate,
     mul,
 )
 from .causality import (
@@ -45,7 +45,6 @@ from .geodesics import (
     HamiltonianState,
     exp_map,
     flow,
-    geodesic_length,
     log_map,
     null_boundary_geodesic,
 )
@@ -77,9 +76,7 @@ from .brenier import (
     transport_map_from_duals,
 )
 from .minkowski import (
-    PlanarMeasure,
     lift_map,
-    right_translation_map,
     right_translation_verdict,
     seeded_verdict_instance,
     solve_minkowski,
@@ -89,7 +86,6 @@ from .measures_io import (
     load_measure,
     sample_chronological_pair,
     sample_diamond,
-    sample_uniform_box,
     save_measure,
     save_plan,
     save_trajectory,
@@ -103,7 +99,6 @@ __all__ = [
     "FrameCovector",
     "mul",
     "inv",
-    "left_translate",
     "group_difference",
     "coord_to_frame",
     "frame_to_coord",
@@ -122,7 +117,6 @@ __all__ = [
     "flow",
     "exp_map",
     "log_map",
-    "geodesic_length",
     "null_boundary_geodesic",
     "CostParams",
     "CostMatrix",
@@ -147,17 +141,14 @@ __all__ = [
     "backward_map_from_duals",
     "inverse_roundtrip_check",
     "monge_ampere_residual",
-    "PlanarMeasure",
     "solve_minkowski",
     "lift_map",
-    "right_translation_map",
     "right_translation_verdict",
     "seeded_verdict_instance",
     "load_measure",
     "save_measure",
     "save_plan",
     "save_trajectory",
-    "sample_uniform_box",
     "sample_diamond",
     "sample_chronological_pair",
     "histogram_density",

@@ -45,6 +45,7 @@ from .heisenberg import (
     GroupPoint,
     coord_to_frame,
     energy,
+    sup_distance,
 )
 from .geodesics import exp_map, flow, log_map
 from .transport import CostParams, DiscreteMeasure, DualPotentials
@@ -103,26 +104,47 @@ def potential_value(pot: SemiDiscretePotential, q: GroupPoint) -> float:
     return float(np.min(_branch_values(pot, q)))
 
 
-def active_branch(pot: SemiDiscretePotential, q: GroupPoint, tie_tol: float = DEFAULT_TIE_TOL) -> int:
-    """Index of the minimizing branch; NondifferentiableAt on numerical ties."""
-    vals = _branch_values(pot, q)
-    j_star = int(np.argmin(vals))
+def _clear_argmin(vals: np.ndarray, where) -> int:
+    """Index of the smallest value; NondifferentiableAt, naming where, when
+    the runner-up is within DEFAULT_TIE_TOL of it."""
+    k = int(np.argmin(vals))
     if len(vals) > 1:
-        margin = float(np.partition(vals, 1)[1] - vals[j_star])
-        if margin <= tie_tol:
-            raise NondifferentiableAt(
-                f"branches tie within {margin:.3e} at {q!r}"
-            )
-    return j_star
+        margin = float(np.partition(vals, 1)[1] - vals[k])
+        if margin <= DEFAULT_TIE_TOL:
+            raise NondifferentiableAt(f"branches tie within {margin:.3e} at {where}")
+    return k
 
 
-def potential_gradient(
-    pot: SemiDiscretePotential,
-    q: GroupPoint,
-    h: float = DEFAULT_FD_STEP,
-    tie_tol: float = DEFAULT_TIE_TOL,
-    method: str = "fd",
-) -> FrameCovector:
+def active_branch(pot: SemiDiscretePotential, q: GroupPoint) -> int:
+    """Index of the minimizing branch; NondifferentiableAt on numerical ties."""
+    return _clear_argmin(_branch_values(pot, q), q)
+
+
+def _central_diff(f, q: GroupPoint) -> np.ndarray:
+    """(f(q + h e_k) - f(q - h e_k)) / (2h) for k = x, y, z, h = DEFAULT_FD_STEP.
+
+    f returns a float (the result is the coordinate gradient) or a point
+    (column k of the result is the k-th column of the Jacobian).
+    """
+    h = DEFAULT_FD_STEP
+    cols = []
+    for axis in range(3):
+        step = [0.0, 0.0, 0.0]
+        step[axis] = h
+        hi = np.asarray(f(GroupPoint(q.x + step[0], q.y + step[1], q.z + step[2])), float)
+        lo = np.asarray(f(GroupPoint(q.x - step[0], q.y - step[1], q.z - step[2])), float)
+        cols.append((hi - lo) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+def _gain_gradient(lam0: FrameCovector, cov: FrameCovector, p: float) -> FrameCovector:
+    """-T^(p-2) * cov, with T = sqrt(2 E(lam0)) the length of the geodesic
+    whose initial covector is lam0."""
+    s = math.sqrt(2.0 * energy(lam0)) ** (p - 2.0)
+    return FrameCovector(-s * cov.hX, -s * cov.hY, -s * cov.hZ)
+
+
+def potential_gradient(pot: SemiDiscretePotential, q: GroupPoint, method: str = "fd") -> FrameCovector:
     """Gradient of the potential at q as a frame covector based at q.
 
     method="fd": central finite differences of the active branch in
@@ -131,13 +153,11 @@ def potential_gradient(
     agree to well below 1e-6 wherever the branch margin is healthy; tests
     hold them against each other.
     """
-    j_star = active_branch(pot, q, tie_tol)
+    j_star = active_branch(pot, q)
     y = pot.target_atoms[j_star]
     if method == "analytic":
         lam = log_map(q, y)
-        t_sep = math.sqrt(2.0 * energy(lam))
-        s = t_sep ** (pot.params.p - 2.0)
-        return FrameCovector(-s * lam.hX, -s * lam.hY, -s * lam.hZ)
+        return _gain_gradient(lam, lam, pot.params.p)
     if method != "fd":
         raise ValueError(f"unknown gradient method {method!r}")
 
@@ -146,14 +166,7 @@ def potential_gradient(
     def branch(point: GroupPoint) -> float:
         return psi_j - pot.params.gain(tau(point, y))
 
-    diffs = []
-    for axis in range(3):
-        step = [0.0, 0.0, 0.0]
-        step[axis] = h
-        hi = GroupPoint(q.x + step[0], q.y + step[1], q.z + step[2])
-        lo = GroupPoint(q.x - step[0], q.y - step[1], q.z - step[2])
-        diffs.append((branch(hi) - branch(lo)) / (2.0 * h))
-    return coord_to_frame(q, CoordCovector(*diffs))
+    return coord_to_frame(q, CoordCovector(*_central_diff(branch, q).tolist()))
 
 
 @dataclass(frozen=True)
@@ -172,21 +185,26 @@ class MapSample:
     T_arclength: float
 
 
+def _map_step(q: GroupPoint, grad: FrameCovector, params: CostParams, sign: int) -> MapSample:
+    """exp_q(sign * grad / scale) for a past-directed timelike grad; the
+    forward map steps with sign -1, the backward map with sign +1."""
+    e = energy(grad)
+    if not (e > 0.0 and grad.hX > abs(grad.hY)):
+        what = "reverse gradient" if sign > 0 else "gradient"
+        raise NotTimelikeGradient(f"{what} {grad!r} is not past-directed timelike")
+    speed = math.sqrt(2.0 * e)
+    scale = speed ** ((params.p - 2.0) / (params.p - 1.0))
+    xi = FrameCovector(sign * grad.hX / scale, sign * grad.hY / scale, sign * grad.hZ / scale)
+    return MapSample(q, exp_map(q, xi), xi, speed ** (1.0 / (params.p - 1.0)))
+
+
 def brenier_map(q: GroupPoint, grad: FrameCovector, params: CostParams) -> MapSample:
     """Map step from a potential gradient: exp_q(-grad / scale).
 
     Requires -grad future-directed timelike (equivalently grad past-directed);
     otherwise NotTimelikeGradient.
     """
-    e = energy(grad)
-    if not (e > 0.0 and grad.hX > abs(grad.hY)):
-        raise NotTimelikeGradient(f"gradient {grad!r} is not past-directed timelike")
-    speed = math.sqrt(2.0 * e)
-    scale = speed ** ((params.p - 2.0) / (params.p - 1.0))
-    xi = FrameCovector(-grad.hX / scale, -grad.hY / scale, -grad.hZ / scale)
-    image = exp_map(q, xi)
-    t_arc = speed ** (1.0 / (params.p - 1.0))
-    return MapSample(q, image, xi, t_arc)
+    return _map_step(q, grad, params, -1)
 
 
 def interpolate(sample: MapSample, t: float) -> GroupPoint:
@@ -204,35 +222,32 @@ class TransportMapResult:
     skipped: tuple  # (index, reason) pairs for the rest
 
 
+def _map_atoms(atoms, step) -> TransportMapResult:
+    """step(index, atom) for every atom; the typed failures that mark an
+    atom as unmappable are collected as skips rather than raised."""
+    samples, mapped, skipped = [], [], []
+    for k, atom in enumerate(atoms):
+        try:
+            samples.append(step(k, atom))
+            mapped.append(k)
+        except (NondifferentiableAt, NotTimelikeGradient, DomainViolation) as err:
+            skipped.append((k, f"{type(err).__name__}: {err}"))
+    return TransportMapResult(tuple(samples), tuple(mapped), tuple(skipped))
+
+
 def transport_map_from_duals(
-    mu: DiscreteMeasure,
-    pot: SemiDiscretePotential,
-    h: float = DEFAULT_FD_STEP,
-    tie_tol: float = DEFAULT_TIE_TOL,
-    method: str = "fd",
+    mu: DiscreteMeasure, pot: SemiDiscretePotential, method: str = "fd"
 ) -> TransportMapResult:
     """Brenier map samples for every source atom where the potential is
     differentiable; atoms with tied branches or without a timelike gradient
     are reported in skipped rather than guessed at."""
-    samples, mapped, skipped = [], [], []
-    for i, x in enumerate(mu.atoms):
-        try:
-            grad = potential_gradient(pot, x, h=h, tie_tol=tie_tol, method=method)
-            samples.append(brenier_map(x, grad, pot.params))
-            mapped.append(i)
-        except (NondifferentiableAt, NotTimelikeGradient, DomainViolation) as err:
-            skipped.append((i, f"{type(err).__name__}: {err}"))
-    return TransportMapResult(tuple(samples), tuple(mapped), tuple(skipped))
+    return _map_atoms(
+        mu.atoms, lambda i, x: brenier_map(x, potential_gradient(pot, x, method), pot.params)
+    )
 
 
 def backward_map_from_duals(
-    nu: DiscreteMeasure,
-    phi_values,
-    source_atoms,
-    params: CostParams,
-    h: float = DEFAULT_FD_STEP,
-    tie_tol: float = DEFAULT_TIE_TOL,
-    method: str = "analytic",
+    nu: DiscreteMeasure, phi_values, source_atoms, params: CostParams
 ) -> TransportMapResult:
     """Reverse Brenier map built from the max-form potential
     chi(y) = max_i(phi_i + c_p(x_i, y)); walks target atoms back to sources.
@@ -243,63 +258,20 @@ def backward_map_from_duals(
     """
     phi = np.asarray(phi_values, float)
     sources = tuple(GroupPoint(*a) for a in source_atoms)
-    samples, mapped, skipped = [], [], []
-    for j, y in enumerate(nu.atoms):
-        try:
-            vals = np.empty(len(sources))
-            for i, x in enumerate(sources):
-                if classify(x, y) is not CausalRelation.CHRONOLOGICAL:
-                    raise DomainViolation(
-                        f"target atom {j} is not chronologically after source {i}"
-                    )
-                vals[i] = phi[i] + params.gain(tau(x, y))
-            i_star = int(np.argmax(vals))
-            if len(vals) > 1:
-                margin = float(vals[i_star] - np.partition(vals, -2)[-2])
-                if margin <= tie_tol:
-                    raise NondifferentiableAt(
-                        f"branches tie within {margin:.3e} at target atom {j}"
-                    )
-            if method == "analytic":
-                x = sources[i_star]
-                lam0 = log_map(x, y)
-                t_sep = math.sqrt(2.0 * energy(lam0))
-                lam_end = flow(x, lam0, 1.0).cov
-                s = t_sep ** (params.p - 2.0)
-                d_chi = FrameCovector(-s * lam_end.hX, -s * lam_end.hY, -s * lam_end.hZ)
-            elif method == "fd":
-                x = sources[i_star]
-                phi_i = float(phi[i_star])
 
-                def branch(point: GroupPoint) -> float:
-                    return phi_i + params.gain(tau(x, point))
+    def step(j: int, y: GroupPoint) -> MapSample:
+        vals = np.empty(len(sources))
+        for i, x in enumerate(sources):
+            if classify(x, y) is not CausalRelation.CHRONOLOGICAL:
+                raise DomainViolation(f"target atom {j} is not chronologically after source {i}")
+            vals[i] = phi[i] + params.gain(tau(x, y))
+        # the argmax of vals is the argmin of -vals, and negation is exact,
+        # so the tie margin is the same number either way
+        x = sources[_clear_argmin(-vals, f"target atom {j}")]
+        lam0 = log_map(x, y)
+        return _map_step(y, _gain_gradient(lam0, flow(x, lam0, 1.0).cov, params.p), params, +1)
 
-                diffs = []
-                for axis in range(3):
-                    step = [0.0, 0.0, 0.0]
-                    step[axis] = h
-                    hi = GroupPoint(y.x + step[0], y.y + step[1], y.z + step[2])
-                    lo = GroupPoint(y.x - step[0], y.y - step[1], y.z - step[2])
-                    diffs.append((branch(hi) - branch(lo)) / (2.0 * h))
-                d_chi = coord_to_frame(y, CoordCovector(*diffs))
-            else:
-                raise ValueError(f"unknown gradient method {method!r}")
-
-            e = energy(d_chi)
-            if not (e > 0.0 and d_chi.hX > abs(d_chi.hY)):
-                raise NotTimelikeGradient(
-                    f"reverse gradient {d_chi!r} is not past-directed timelike"
-                )
-            speed = math.sqrt(2.0 * e)
-            scale = speed ** ((params.p - 2.0) / (params.p - 1.0))
-            xi = FrameCovector(d_chi.hX / scale, d_chi.hY / scale, d_chi.hZ / scale)
-            image = exp_map(y, xi)
-            t_arc = speed ** (1.0 / (params.p - 1.0))
-            samples.append(MapSample(y, image, xi, t_arc))
-            mapped.append(j)
-        except (NondifferentiableAt, NotTimelikeGradient, DomainViolation) as err:
-            skipped.append((j, f"{type(err).__name__}: {err}"))
-    return TransportMapResult(tuple(samples), tuple(mapped), tuple(skipped))
+    return _map_atoms(nu.atoms, step)
 
 
 def inverse_roundtrip_check(forward: TransportMapResult, backward: TransportMapResult) -> float:
@@ -310,24 +282,10 @@ def inverse_roundtrip_check(forward: TransportMapResult, backward: TransportMapR
     """
     worst = 0.0
     for fs in forward.samples:
-        best = None
-        for bs in backward.samples:
-            d = max(
-                abs(bs.source.x - fs.image.x),
-                abs(bs.source.y - fs.image.y),
-                abs(bs.source.z - fs.image.z),
-            )
-            if best is None or d < best[0]:
-                best = (d, bs)
-        if best is None:
+        if not backward.samples:
             return math.inf
-        bs = best[1]
-        worst = max(
-            worst,
-            abs(bs.image.x - fs.source.x),
-            abs(bs.image.y - fs.source.y),
-            abs(bs.image.z - fs.source.z),
-        )
+        bs = min(backward.samples, key=lambda b: sup_distance(b.source, fs.image))
+        worst = max(worst, sup_distance(bs.image, fs.source))
     return worst
 
 
@@ -340,15 +298,7 @@ class MongeAmpereReport:
     min_det: float
 
 
-def monge_ampere_residual(
-    grad_fn,
-    sources,
-    t: float,
-    rho0,
-    rhot,
-    params: CostParams,
-    h: float = DEFAULT_FD_STEP,
-) -> MongeAmpereReport:
+def monge_ampere_residual(grad_fn, sources, t: float, rho0, rhot, params: CostParams) -> MongeAmpereReport:
     """Residual |rho0(q) - rhot(T_t(q)) det dT_t(q)| at each source point.
 
     grad_fn maps a group point to the potential gradient there (so the map
@@ -368,18 +318,7 @@ def monge_ampere_residual(
     for q in sources:
         q = GroupPoint(*q)
         image = map_t(q)
-        jac = np.empty((3, 3))
-        for axis in range(3):
-            step = [0.0, 0.0, 0.0]
-            step[axis] = h
-            hi = map_t(GroupPoint(q.x + step[0], q.y + step[1], q.z + step[2]))
-            lo = map_t(GroupPoint(q.x - step[0], q.y - step[1], q.z - step[2]))
-            jac[:, axis] = [
-                (hi.x - lo.x) / (2.0 * h),
-                (hi.y - lo.y) / (2.0 * h),
-                (hi.z - lo.z) / (2.0 * h),
-            ]
-        det = float(np.linalg.det(jac))
+        det = float(np.linalg.det(_central_diff(map_t, q)))
         if abs(det) < 1e-10:
             raise SingularJacobian(f"|det| = {abs(det):.3e} at {q!r}")
         residual = abs(rho0(q) - rhot(image) * det)

@@ -31,7 +31,7 @@ from .errors import (
     WeightError,
 )
 from .geodesics import GeodesicArc, geodesic_trace, log_map
-from .heisenberg import FrameCovector, GroupPoint, energy, mul
+from .heisenberg import FrameCovector, GroupPoint, energy, is_future_timelike, mul
 from .measures_io import load_measure, save_measure, save_plan, save_trajectory
 from .minkowski import right_translation_verdict
 from .transport import (
@@ -63,11 +63,34 @@ def _triple(text: str):
         raise argparse.ArgumentTypeError(f"not a numeric triple: {text!r}") from None
 
 
+def _checked(convert, ok, what: str):
+    """argparse type: convert the text, then require ok(value)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def _float_list(text: str):
     try:
         return [float(p) for p in text.split(",") if p != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from None
+
+
+_cost_exponent = _checked(float, lambda p: 0.0 < p < 1.0, "in (0, 1)")
+_unit_times = _checked(_float_list, lambda ts: all(0.0 <= t <= 1.0 for t in ts), "a list of times in [0, 1]")
+_digits = _checked(int, lambda d: d >= 1, "at least 1")
+_samples = _checked(int, lambda n: n >= 2, "at least 2")
+_duration = _checked(float, lambda t: t >= 0.0, "a duration >= 0")
+_future_covector = _checked(
+    _triple, lambda c: is_future_timelike(FrameCovector(*c)), "future-directed timelike"
+)
 
 
 def _fmt(args, v: float) -> str:
@@ -91,13 +114,13 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=float, default=0.5, help="cost exponent in (0,1)")
+    common.add_argument("--p", type=_cost_exponent, default=0.5, help="cost exponent in (0,1)")
     common.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
     common.add_argument("--tol", type=float, default=None, help="tolerance override")
     common.add_argument("--out", default=None, help="output path or prefix")
     common.add_argument("--svg", default=None, help="write an SVG plot to this path")
     common.add_argument(
-        "--digits", type=int, default=9, help="significant digits in printed numbers"
+        "--digits", type=_digits, default=9, help="significant digits in printed numbers"
     )
 
     parser = _Parser(
@@ -113,10 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_geo = sub.add_parser("geodesic", parents=[common], help="sample a geodesic arc to CSV/SVG")
     p_geo.add_argument("--from", dest="src", type=_triple, default=(0.0, 0.0, 0.0), metavar="X,Y,Z")
-    p_geo.add_argument("--cov", type=_triple, required=True, metavar="HX,HY,HZ",
+    p_geo.add_argument("--cov", type=_future_covector, required=True, metavar="HX,HY,HZ",
                        help="initial covector in frame components")
-    p_geo.add_argument("--t", type=float, default=1.0, help="duration")
-    p_geo.add_argument("--n", type=int, default=100, help="number of sample rows")
+    p_geo.add_argument("--t", type=_duration, default=1.0, help="duration")
+    p_geo.add_argument("--n", type=_samples, default=100, help="number of sample rows")
     p_geo.set_defaults(func=cmd_geodesic)
 
     p_log = sub.add_parser("logmap", parents=[common], help="covector reaching a chronological target")
@@ -133,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="transport map from dual potentials, with interpolants")
     p_bren.add_argument("--mu", required=True)
     p_bren.add_argument("--nu", required=True)
-    p_bren.add_argument("--t", type=_float_list, default=[],
+    p_bren.add_argument("--t", type=_unit_times, default=[],
                         help="comma-separated interpolation times in [0,1]")
     p_bren.set_defaults(func=cmd_brenier)
 
@@ -141,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="displacement interpolation of the optimal plan")
     p_interp.add_argument("--mu", required=True)
     p_interp.add_argument("--nu", required=True)
-    p_interp.add_argument("--t", type=_float_list, required=True,
+    p_interp.add_argument("--t", type=_unit_times, required=True,
                           help="comma-separated interpolation times in [0,1]")
     p_interp.set_defaults(func=cmd_interpolate)
 

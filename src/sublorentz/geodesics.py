@@ -36,7 +36,6 @@ from .errors import NotChronological, NotOnNullBoundary
 from .heisenberg import (
     FrameCovector,
     GroupPoint,
-    energy,
     group_difference,
     is_future_timelike,
     mul,
@@ -141,25 +140,6 @@ class GeodesicArc:
         return flow(self.base, self.cov0, t).point
 
 
-def geodesic_length(arc: GeodesicArc, n_samples: int = 33) -> float:
-    """Lorentzian length of the arc by trapezoid quadrature of sqrt(2E).
-
-    The integrand is constant on normal geodesics (energy conservation), so
-    the quadrature is exact there; it exists for callers that time-sample
-    perturbed or concatenated arcs.  n_samples >= 2.
-    """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    h = arc.duration / (n_samples - 1)
-    total = 0.0
-    for k in range(n_samples):
-        e = energy(arc.state(k * h).cov)
-        speed = math.sqrt(2.0 * e) if e > 0.0 else 0.0
-        weight = 0.5 if k in (0, n_samples - 1) else 1.0
-        total += weight * speed
-    return total * h
-
-
 def null_boundary_geodesic(q0: GroupPoint, q: GroupPoint, n_samples: int = 65):
     """Polyline tracing the broken null curve from q0 to a point on the
     null boundary of its causal future.
@@ -218,7 +198,6 @@ __all__ = [
     "flow",
     "exp_map",
     "log_map",
-    "geodesic_length",
     "geodesic_trace",
     "null_boundary_geodesic",
 ]

@@ -63,11 +63,6 @@ def inv(a: GroupPoint) -> GroupPoint:
     return GroupPoint(-a.x, -a.y, -a.z)
 
 
-def left_translate(base: GroupPoint, q: GroupPoint) -> GroupPoint:
-    """Left translation L_base(q) = base * q."""
-    return mul(base, q)
-
-
 def group_difference(a: GroupPoint, b: GroupPoint) -> GroupPoint:
     """a^{-1} * b: the position of b as seen from a after left translation.
 

@@ -100,17 +100,6 @@ def save_trajectory(rows, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def sample_uniform_box(box, n: int, seed: int) -> DiscreteMeasure:
-    """n uniform atoms in an axis-aligned box, uniform weights."""
-    rng = np.random.default_rng(seed)
-    (xlo, xhi), (ylo, yhi), (zlo, zhi) = box
-    atoms = tuple(
-        GroupPoint(rng.uniform(xlo, xhi), rng.uniform(ylo, yhi), rng.uniform(zlo, zhi))
-        for _ in range(n)
-    )
-    return DiscreteMeasure(atoms, np.full(n, 1.0 / n))
-
-
 def sample_diamond(q0: GroupPoint, q1: GroupPoint, n: int, rng, max_tries: int = 4_000_000):
     """n points strictly inside the causal diamond between q0 and q1.
 

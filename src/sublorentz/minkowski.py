@@ -28,7 +28,6 @@ import numpy as np
 
 from .causality import CausalRelation, PlanarPoint, classify, minkowski_tau, tau
 from .errors import GenerationFailure, NoCausalCoupling, ProjectionMismatch
-from .geodesics import log_map
 from .heisenberg import IDENTITY, FrameCovector, GroupPoint, mul
 from .transport import (
     SUPPORT_TOL,
@@ -43,32 +42,14 @@ from .transport import (
 from .brenier import MapSample
 
 
-@dataclass(frozen=True)
-class PlanarMeasure:
-    """Finite weighted atoms in the Minkowski plane, total mass 1."""
-
-    atoms: tuple
-    weights: np.ndarray
-
-    def __init__(self, atoms, weights):
-        atoms = tuple(PlanarPoint(*a) for a in atoms)
-        w = np.asarray(weights, dtype=float)
-        if len(atoms) != w.shape[0]:
-            raise ValueError(f"{len(atoms)} atoms but {w.shape[0]} weights")
-        if np.any(w < 0.0):
-            raise ValueError("negative weight")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", w)
+def project_measure(mu: DiscreteMeasure) -> DiscreteMeasure:
+    """The same measure with every atom moved to z = 0."""
+    return DiscreteMeasure(tuple(GroupPoint(a.x, a.y, 0.0) for a in mu.atoms), mu.weights)
 
 
-def project_measure(mu: DiscreteMeasure) -> PlanarMeasure:
-    """Forget the z coordinate of every atom."""
-    return PlanarMeasure(tuple(PlanarPoint(a.x, a.y) for a in mu.atoms), mu.weights)
-
-
-def planar_cost_matrix(mu: PlanarMeasure, nu: PlanarMeasure, params: CostParams) -> CostMatrix:
+def planar_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams) -> CostMatrix:
+    """Gains of the Minkowski plane between the (x, y) projections of the
+    atoms, from the closed form minkowski_tau; z is ignored."""
     n, m = len(mu.atoms), len(nu.atoms)
     values = np.zeros((n, m))
     feasible = np.zeros((n, m), dtype=bool)
@@ -110,8 +91,9 @@ def _plan_assignment(masses: np.ndarray) -> Optional[tuple]:
     return tuple(assignment)
 
 
-def solve_minkowski(mu: PlanarMeasure, nu: PlanarMeasure, params: CostParams) -> MinkowskiSolution:
-    """Maximize total gain of causal couplings between planar measures."""
+def solve_minkowski(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams) -> MinkowskiSolution:
+    """Maximize total gain of causal couplings between the planar projections
+    of two measures (z is ignored)."""
     cost = planar_cost_matrix(mu, nu, params)
     plan, duals = solve_cost_matrix(cost, mu.weights, nu.weights)
     return MinkowskiSolution(plan, duals, cost, _plan_assignment(plan.masses))
@@ -120,12 +102,6 @@ def solve_minkowski(mu: PlanarMeasure, nu: PlanarMeasure, params: CostParams) ->
 class PlanarMapSample(NamedTuple):
     source: PlanarPoint
     image: PlanarPoint
-
-
-def assignment_samples(mu: PlanarMeasure, nu: PlanarMeasure, assignment) -> list:
-    return [
-        PlanarMapSample(mu.atoms[i], nu.atoms[assignment[i]]) for i in range(len(mu.atoms))
-    ]
 
 
 def lift_map(planar_samples: Sequence[PlanarMapSample], mu0: DiscreteMeasure, match_tol: float = 1e-9) -> list:
@@ -266,21 +242,3 @@ def seeded_verdict_instance(
     raise GenerationFailure(
         f"seed {seed}: no cluster with improvement above {gap_floor} in {max_tries} tries"
     )
-
-
-def right_translation_map(mu: DiscreteMeasure, q0: GroupPoint) -> list:
-    """MapSamples for q -> q * q0 with the geodesic covector when timelike."""
-    rel = classify(IDENTITY, q0)
-    if rel is CausalRelation.UNRELATED:
-        raise NoCausalCoupling(f"q0 = {q0!r} is not in the causal future of the identity")
-    out = []
-    for atom in mu.atoms:
-        image = mul(atom, q0)
-        if rel is CausalRelation.CHRONOLOGICAL:
-            cov = log_map(atom, image)
-            t_arc = tau(IDENTITY, q0)
-        else:
-            cov = FrameCovector(0.0, 0.0, 0.0)
-            t_arc = 0.0
-        out.append(MapSample(atom, image, cov, t_arc))
-    return out

@@ -102,10 +102,8 @@ class TransportPlan:
 
     def support(self):
         """Index pairs carrying more than SUPPORT_TOL mass."""
-        n, m = self.masses.shape
-        return [
-            (i, j) for i in range(n) for j in range(m) if self.masses[i, j] > SUPPORT_TOL
-        ]
+        rows, cols = np.nonzero(self.masses > SUPPORT_TOL)
+        return list(zip(rows.tolist(), cols.tolist()))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .heisenberg import (
 )
 from .measures_io import sample_chronological_pair, sample_diamond
 from .minkowski import (
-    PlanarMeasure,
     right_translation_verdict,
     seeded_verdict_instance,
     solve_minkowski,
@@ -318,11 +317,9 @@ def suite_minkowski_lift(seed: int, instances: int = 10, tol: float = 1e-9) -> S
         wa /= wa.sum()
         wb = rng.random(m) + 0.1
         wb /= wb.sum()
-        planar_mu = PlanarMeasure([(t, t * slope) for t in ts], wa)
-        planar_nu = PlanarMeasure([(s, s * slope) for s in ss], wb)
         native_mu = DiscreteMeasure([GroupPoint(t, t * slope, 0.0) for t in ts], wa)
         native_nu = DiscreteMeasure([GroupPoint(s, s * slope, 0.0) for s in ss], wb)
-        sol = solve_minkowski(planar_mu, planar_nu, params)
+        sol = solve_minkowski(native_mu, native_nu, params)
         native, _ = solve_kantorovich(native_mu, native_nu, params)
         worst = max(worst, abs(sol.value - native.value))
     return SuiteResult(

@@ -159,6 +159,28 @@ def test_split_atom_is_skipped_not_guessed():
         potential_gradient(pot, mu.atoms[0])
 
 
+def test_backward_map_skips_ties_and_targets_outside_the_domain():
+    # two mirror-image sources merging into one target give the max-form
+    # potential a kink there
+    mu = DiscreteMeasure(
+        (GroupPoint(0.0, 0.5, 0.0), GroupPoint(0.0, -0.5, 0.0)), np.array([0.5, 0.5])
+    )
+    nu = DiscreteMeasure((GroupPoint(2.0, 0.0, 0.0),), np.array([1.0]))
+    plan, _ = solve_kantorovich(mu, nu, P)
+    duals = strengthen_duals(plan, cost_matrix(mu, nu, P))
+    result = backward_map_from_duals(nu, duals.phi, mu.atoms, P)
+    assert result.mapped == ()
+    assert len(result.skipped) == 1
+    assert result.skipped[0][1].startswith("NondifferentiableAt: branches tie within")
+    assert result.skipped[0][1].endswith("at target atom 0")
+    # a target that does not lie after every source is outside the domain
+    sources = (GroupPoint(0.0, 0.0, 0.0), GroupPoint(3.0, 0.0, 0.0))
+    result = backward_map_from_duals(nu, [0.0, 0.0], sources, P)
+    assert result.skipped == (
+        (0, "DomainViolation: target atom 0 is not chronologically after source 1"),
+    )
+
+
 def test_backward_map_returns_to_sources():
     mu, nu, plan, duals = _solved_instance(5, seed=21)
     back = backward_map_from_duals(nu, duals.phi, mu.atoms, P)

@@ -47,6 +47,28 @@ def test_malformed_triple_exits_2():
     assert _argparse_exit_code(["tau", "--from", "0,0,oops", "--to", "2,1,0"]) == 2
 
 
+def test_out_of_range_arguments_exit_2(fixture_files, tmp_path):
+    mu, nu = str(fixture_files[0]), str(fixture_files[1])
+    prefix = str(tmp_path / "out")
+    for argv in (
+        ["solve", "--mu", mu, "--nu", nu, "--p", "1.5"],
+        ["solve", "--mu", mu, "--nu", nu, "--p", "0"],
+        ["brenier", "--mu", mu, "--nu", nu, "--t", "0.5,1.5", "--out", prefix],
+        ["interpolate", "--mu", mu, "--nu", nu, "--t", "1.5", "--out", prefix],
+        ["interpolate", "--mu", mu, "--nu", nu, "--t", "-0.1", "--out", prefix],
+        ["geodesic", "--cov", "-1,0,1", "--n", "1"],
+        ["geodesic", "--cov", "-1,0,1", "--t", "-1"],
+        ["geodesic", "--cov", "1,0,0"],
+        ["tau", "--from", "0,0,0", "--to", "2,1,0", "--digits", "0"],
+    ):
+        assert _argparse_exit_code(argv) == 2, argv
+    # nothing was written before the rejection
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mu.txt", "nu.txt"]
+    # the ends of each range are accepted
+    assert main(["interpolate", "--mu", mu, "--nu", nu, "--t", "0,1", "--out", prefix]) == 0
+    assert main(["tau", "--from", "0,0,0", "--to", "2,1,0", "--digits", "1"]) == 0
+
+
 def test_negative_triples_parse():
     assert main(["tau", "--from", "-1,0,0", "--to", "1,0,0"]) == 0
     assert main(["geodesic", "--cov", "-1,0,1", "--t", "1", "--n", "2"]) == 0

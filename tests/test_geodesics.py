@@ -12,7 +12,6 @@ from sublorentz.geodesics import (
     GeodesicArc,
     exp_map,
     flow,
-    geodesic_length,
     geodesic_trace,
     log_map,
     null_boundary_geodesic,
@@ -180,14 +179,6 @@ def test_geodesic_arc_validation():
         GeodesicArc(IDENTITY, FrameCovector(-1.0, 0.0, 0.0), -0.5)
     with pytest.raises(ValueError):
         GeodesicArc(IDENTITY, FrameCovector(1.0, 0.0, 0.0), 1.0)
-
-
-def test_geodesic_length_equals_tau():
-    arc = GeodesicArc(IDENTITY, FrameCovector(-1.4, 0.3, 0.6), 1.25)
-    end = arc.point(arc.duration)
-    assert geodesic_length(arc) == pytest.approx(tau(IDENTITY, end), abs=1e-11)
-    with pytest.raises(ValueError):
-        geodesic_length(arc, n_samples=1)
 
 
 def test_geodesic_trace_shape():

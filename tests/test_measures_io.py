@@ -14,7 +14,6 @@ from sublorentz.measures_io import (
     load_measure,
     sample_chronological_pair,
     sample_diamond,
-    sample_uniform_box,
     save_measure,
     save_plan,
     save_trajectory,
@@ -125,16 +124,6 @@ def test_save_trajectory(tmp_path):
     assert lines[0] == "t,x,y,z"
     assert lines[2].startswith("0.5,")
     assert len(lines) == 3
-
-
-def test_sample_uniform_box_duplicates_are_deterministic():
-    box = ((0, 1), (-1, 1), (0, 0.5))
-    a = sample_uniform_box(box, 20, seed=5)
-    b = sample_uniform_box(box, 20, seed=5)
-    assert a.atoms == b.atoms
-    assert np.allclose(a.weights, 0.05)
-    for atom in a.atoms:
-        assert 0 <= atom.x <= 1 and -1 <= atom.y <= 1 and 0 <= atom.z <= 0.5
 
 
 def test_sample_diamond_lands_inside():

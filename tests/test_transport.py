@@ -10,6 +10,7 @@ from sublorentz.errors import InfeasibleDuals, NoCausalCoupling, WeightError
 from sublorentz.heisenberg import IDENTITY, GroupPoint
 from sublorentz.measures_io import sample_chronological_pair
 from sublorentz.transport import (
+    SUPPORT_TOL,
     CostParams,
     DiscreteMeasure,
     TransportPlan,
@@ -231,3 +232,10 @@ def test_solve_logs_pivot_count(caplog):
     # the artificial start basis needs at least one pivot per real basic arc
     assert int(fields["pivots"]) >= 6
     assert float(fields["stranded"]) == 0.0
+
+
+def test_support_lists_pairs_above_tolerance_in_row_major_order():
+    masses = np.array([[0.0, 0.3, SUPPORT_TOL], [2e-12, 0.0, 0.1], [0.0, 0.6, 0.0]])
+    support = TransportPlan(masses, 0.0).support()
+    assert support == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert all(type(i) is int and type(j) is int for i, j in support)
