@@ -37,6 +37,7 @@ from .errors import (
     NonCausalRectangle,
     NondifferentiableAt,
     NotTimelikeGradient,
+    OutOfDomain,
     SingularJacobian,
 )
 from .heisenberg import (
@@ -230,7 +231,7 @@ def _map_atoms(atoms, step) -> TransportMapResult:
         try:
             samples.append(step(k, atom))
             mapped.append(k)
-        except (NondifferentiableAt, NotTimelikeGradient, DomainViolation) as err:
+        except (NondifferentiableAt, NotTimelikeGradient, DomainViolation, OutOfDomain) as err:
             skipped.append((k, f"{type(err).__name__}: {err}"))
     return TransportMapResult(tuple(samples), tuple(mapped), tuple(skipped))
 

@@ -143,7 +143,7 @@ _BETA_MAX_ITER = 200
 _BETA_HI_CAP = 64.0  # alpha(64) is within 1e-50 of 1/4; no double below 1/4 needs more
 
 
-def beta(zeta: float, tol: float = _BETA_TOL, max_iter: int = _BETA_MAX_ITER) -> float:
+def beta(zeta: float) -> float:
     """Inverse of alpha on (-1/4, 1/4).
 
     Safeguarded Newton iteration: steps that leave the current bracket fall
@@ -165,9 +165,9 @@ def beta(zeta: float, tol: float = _BETA_TOL, max_iter: int = _BETA_MAX_ITER) ->
             break
 
     b = min(8.0 * target, hi)
-    for _ in range(max_iter):
+    for _ in range(_BETA_MAX_ITER):
         f = alpha(b) - target
-        if abs(f) <= tol:
+        if abs(f) <= _BETA_TOL:
             break
         if f > 0.0:
             hi = b
@@ -255,11 +255,17 @@ def tau(q0: GroupPoint, q: GroupPoint, slack: float = DEFAULT_SLACK) -> float:
     d = group_difference(q0, q)
     if not cone_state(d.x, d.y, d.z, slack)[0]:
         return 0.0
+    return _twist_and_separation(d)[1]
+
+
+def _twist_and_separation(d: GroupPoint):
+    """(b, tau) of a chronological group difference d: m = x^2 - y^2,
+    b = beta(z / m) and tau = sqrt(m) * b / sinh(b), or sqrt(m) at b = 0."""
     m = (d.x - d.y) * (d.x + d.y)
     b = beta(d.z / m)
     if b == 0.0:
-        return math.sqrt(m)
-    return math.sqrt(m) * b / math.sinh(b)
+        return b, math.sqrt(m)
+    return b, math.sqrt(m) * b / math.sinh(b)
 
 
 def tau_array(a, b):

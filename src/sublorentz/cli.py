@@ -1,8 +1,18 @@
 """Batch command-line frontend.
 
-Subcommands: tau, geodesic, logmap, solve, brenier, interpolate,
-right-translation, verify.  One command per process; all randomness is
-seeded; numeric output uses 9 significant digits unless --digits overrides.
+Subcommands, with the shared flags each one reads besides its own inputs:
+
+    tau, logmap          --digits
+    geodesic             --out --svg --digits
+    solve                --p --seed --out --svg --digits
+    brenier              --p --out --svg
+    interpolate          --p --out
+    right-translation    --p --tol --out --digits
+    verify               --seed
+
+A flag that a subcommand does not read is an argument error.  One command
+per process; all randomness is seeded; numeric output uses 9 significant
+digits unless --digits overrides.
 
 Exit codes: 0 success, 1 failed verification, 2 argument or file parse
 error, 3 I/O error, 4 causally infeasible input.
@@ -13,7 +23,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -112,71 +121,70 @@ class _Parser(argparse.ArgumentParser):
         )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=_cost_exponent, default=0.5, help="cost exponent in (0,1)")
-    common.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common.add_argument("--out", default=None, help="output path or prefix")
-    common.add_argument("--svg", default=None, help="write an SVG plot to this path")
-    common.add_argument(
-        "--digits", type=_digits, default=9, help="significant digits in printed numbers"
-    )
+# The flags several subcommands share; each subcommand adds the ones it reads.
+_FLAGS = {
+    "--p": dict(type=_cost_exponent, default=0.5, help="cost exponent in (0,1)"),
+    "--seed": dict(type=int, default=0, help="seed for any randomized step"),
+    "--tol": dict(type=float, default=1e-8, help="optimality gap tolerance"),
+    "--out": dict(default=None, help="output path or prefix"),
+    "--svg": dict(default=None, help="write an SVG plot to this path"),
+    "--digits": dict(type=_digits, default=9, help="significant digits in printed numbers"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sublorentz",
         description="Sub-Lorentzian geometry and causal optimal transport on the Heisenberg group.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    p_tau = sub.add_parser("tau", parents=[common], help="time separation and causal relation")
+    def command(name, func, flags, summary):
+        p = sub.add_parser(name, help=summary)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p_tau = command("tau", cmd_tau, "--digits", "time separation and causal relation")
     p_tau.add_argument("--from", dest="src", type=_triple, required=True, metavar="X,Y,Z")
     p_tau.add_argument("--to", dest="dst", type=_triple, required=True, metavar="X,Y,Z")
-    p_tau.set_defaults(func=cmd_tau)
 
-    p_geo = sub.add_parser("geodesic", parents=[common], help="sample a geodesic arc to CSV/SVG")
+    p_geo = command("geodesic", cmd_geodesic, "--out --svg --digits", "sample a geodesic arc to CSV/SVG")
     p_geo.add_argument("--from", dest="src", type=_triple, default=(0.0, 0.0, 0.0), metavar="X,Y,Z")
     p_geo.add_argument("--cov", type=_future_covector, required=True, metavar="HX,HY,HZ",
                        help="initial covector in frame components")
     p_geo.add_argument("--t", type=_duration, default=1.0, help="duration")
     p_geo.add_argument("--n", type=_samples, default=100, help="number of sample rows")
-    p_geo.set_defaults(func=cmd_geodesic)
 
-    p_log = sub.add_parser("logmap", parents=[common], help="covector reaching a chronological target")
+    p_log = command("logmap", cmd_logmap, "--digits", "covector reaching a chronological target")
     p_log.add_argument("--from", dest="src", type=_triple, required=True, metavar="X,Y,Z")
     p_log.add_argument("--to", dest="dst", type=_triple, required=True, metavar="X,Y,Z")
-    p_log.set_defaults(func=cmd_logmap)
 
-    p_solve = sub.add_parser("solve", parents=[common], help="solve the causal transport LP")
+    p_solve = command("solve", cmd_solve, "--p --seed --out --svg --digits", "solve the causal transport LP")
     p_solve.add_argument("--mu", required=True, help="source measure file")
     p_solve.add_argument("--nu", required=True, help="target measure file")
-    p_solve.set_defaults(func=cmd_solve)
 
-    p_bren = sub.add_parser("brenier", parents=[common],
-                            help="transport map from dual potentials, with interpolants")
+    p_bren = command("brenier", cmd_brenier, "--p --out --svg",
+                     "transport map from dual potentials, with interpolants")
     p_bren.add_argument("--mu", required=True)
     p_bren.add_argument("--nu", required=True)
     p_bren.add_argument("--t", type=_unit_times, default=[],
                         help="comma-separated interpolation times in [0,1]")
-    p_bren.set_defaults(func=cmd_brenier)
 
-    p_interp = sub.add_parser("interpolate", parents=[common],
-                              help="displacement interpolation of the optimal plan")
+    p_interp = command("interpolate", cmd_interpolate, "--p --out",
+                       "displacement interpolation of the optimal plan")
     p_interp.add_argument("--mu", required=True)
     p_interp.add_argument("--nu", required=True)
     p_interp.add_argument("--t", type=_unit_times, required=True,
                           help="comma-separated interpolation times in [0,1]")
-    p_interp.set_defaults(func=cmd_interpolate)
 
-    p_rt = sub.add_parser("right-translation", parents=[common],
-                          help="test q -> q*q0 for transport optimality")
+    p_rt = command("right-translation", cmd_right_translation, "--p --tol --out --digits",
+                   "test q -> q*q0 for transport optimality")
     p_rt.add_argument("--mu", required=True)
     p_rt.add_argument("--q0", type=_triple, required=True, metavar="X,Y,Z")
-    p_rt.set_defaults(func=cmd_right_translation)
 
-    p_ver = sub.add_parser("verify", parents=[common], help="run the self-check suites")
-    p_ver.set_defaults(func=cmd_verify)
-
+    command("verify", cmd_verify, "--seed", "run the self-check suites")
     return parser
 
 
@@ -260,7 +268,8 @@ def cmd_brenier(args) -> int:
         raise NoCausalCoupling("no atom admitted a transport map sample")
     w = w / w.sum()
     mapped_path = f"{prefix}_mapped.txt"
-    save_measure(DiscreteMeasure([s.image for s in result.samples], w), mapped_path)
+    images = DiscreteMeasure([s.image for s in result.samples], w)
+    save_measure(images, mapped_path)
     print(f"wrote {mapped_path}")
     for t in args.t:
         pts = [interpolate(s, t) for s in result.samples]
@@ -268,10 +277,7 @@ def cmd_brenier(args) -> int:
         save_measure(DiscreteMeasure(pts, w.copy()), path)
         print(f"wrote {path}")
     if args.svg:
-        images = SimpleNamespace(atoms=[s.image for s in result.samples], weights=w)
-        sources = SimpleNamespace(
-            atoms=[s.source for s in result.samples], weights=w
-        )
+        sources = DiscreteMeasure([s.source for s in result.samples], w)
         svg.write_plan_svg(
             args.svg,
             sources,
@@ -307,8 +313,7 @@ def cmd_interpolate(args) -> int:
 def cmd_right_translation(args) -> int:
     mu = load_measure(args.mu)
     params = CostParams(args.p)
-    gap_tol = args.tol if args.tol is not None else 1e-8
-    verdict = right_translation_verdict(mu, GroupPoint(*args.q0), params, gap_tol=gap_tol)
+    verdict = right_translation_verdict(mu, GroupPoint(*args.q0), params, gap_tol=args.tol)
     print(f"verdict {'Optimal' if verdict.optimal else 'NotOptimal'}")
     print(f"predicate {verdict.predicate}")
     print(f"agrees {verdict.agrees}")

@@ -31,8 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .causality import CausalRelation, beta, classify
-from .errors import NotChronological, NotOnNullBoundary
+from .causality import _twist_and_separation, cone_state
+from .errors import NotChronological, NotOnNullBoundary, OutOfDomain
 from .heisenberg import (
     FrameCovector,
     GroupPoint,
@@ -79,12 +79,16 @@ def flow(q0: GroupPoint, cov0: FrameCovector, t: float) -> HamiltonianState:
 
     Exact closed form, no stepping.  Satisfies the scaling identities
     flow(q, a*cov, t).point == flow(q, cov, a*t).point and exact conservation
-    of hZ and of the energy up to roundoff.
+    of hZ and of the energy up to roundoff.  Raises OutOfDomain when
+    |hZ t| is past what cosh can represent (about 710).
     """
     u0, v0, w0 = cov0
     s = w0 * t
-    ch = math.cosh(s)
-    sh = math.sinh(s)
+    try:
+        ch = math.cosh(s)
+        sh = math.sinh(s)
+    except OverflowError:
+        raise OutOfDomain(f"|hZ t| = {abs(s):.6g} overflows cosh") from None
     x = t * (v0 * _f2(s) - u0 * _f1(s))
     y = t * (v0 * _f1(s) - u0 * _f2(s))
     z = 0.5 * (u0 * u0 - v0 * v0) * w0 * t * t * t * _f3(s)
@@ -109,12 +113,10 @@ def log_map(q0: GroupPoint, q: GroupPoint) -> FrameCovector:
     Exact inverse of exp_map on the chronological future; the energy of the
     result is T^2/2.  Raises NotChronological outside the open cone.
     """
-    if classify(q0, q) is not CausalRelation.CHRONOLOGICAL:
-        raise NotChronological(f"{q!r} is not chronologically after {q0!r}")
     d = group_difference(q0, q)
-    m = (d.x - d.y) * (d.x + d.y)
-    b = beta(d.z / m)
-    t_sep = math.sqrt(m) if b == 0.0 else math.sqrt(m) * b / math.sinh(b)
+    if not cone_state(d.x, d.y, d.z)[0]:
+        raise NotChronological(f"{q!r} is not chronologically after {q0!r}")
+    b, t_sep = _twist_and_separation(d)
     psi = math.atanh(d.y / d.x) - b
     return FrameCovector(-t_sep * math.cosh(psi), t_sep * math.sinh(psi), 2.0 * b)
 

@@ -22,7 +22,7 @@ observed gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .causality import CausalRelation, PlanarPoint, classify, minkowski_tau, tau
 from .errors import GenerationFailure, NoCausalCoupling, ProjectionMismatch
 from .heisenberg import IDENTITY, FrameCovector, GroupPoint, mul
 from .transport import (
-    SUPPORT_TOL,
     CostMatrix,
     CostParams,
     DiscreteMeasure,
@@ -68,27 +67,10 @@ class MinkowskiSolution:
     plan: TransportPlan
     duals: DualPotentials
     cost: CostMatrix
-    assignment: Optional[tuple]
 
     @property
     def value(self) -> float:
         return self.plan.value
-
-
-def _plan_assignment(masses: np.ndarray) -> Optional[tuple]:
-    """Extract a permutation when the plan is one, else None."""
-    n, m = masses.shape
-    if n != m:
-        return None
-    assignment = []
-    for i in range(n):
-        js = np.nonzero(masses[i] > SUPPORT_TOL)[0]
-        if js.shape[0] != 1:
-            return None
-        assignment.append(int(js[0]))
-    if sorted(assignment) != list(range(n)):
-        return None
-    return tuple(assignment)
 
 
 def solve_minkowski(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams) -> MinkowskiSolution:
@@ -96,7 +78,7 @@ def solve_minkowski(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams
     of two measures (z is ignored)."""
     cost = planar_cost_matrix(mu, nu, params)
     plan, duals = solve_cost_matrix(cost, mu.weights, nu.weights)
-    return MinkowskiSolution(plan, duals, cost, _plan_assignment(plan.masses))
+    return MinkowskiSolution(plan, duals, cost)
 
 
 class PlanarMapSample(NamedTuple):
@@ -104,11 +86,11 @@ class PlanarMapSample(NamedTuple):
     image: PlanarPoint
 
 
-def lift_map(planar_samples: Sequence[PlanarMapSample], mu0: DiscreteMeasure, match_tol: float = 1e-9) -> list:
+def lift_map(planar_samples: Sequence[PlanarMapSample], mu0: DiscreteMeasure) -> list:
     """Lift a planar transport map to the group along horizontal lines.
 
     planar_samples must be index-aligned with mu0.atoms and project onto them
-    within match_tol (else ProjectionMismatch).  Each lifted sample carries
+    within 1e-9 (else ProjectionMismatch).  Each lifted sample carries
     the covector of the straight-line geodesic, so downstream interpolation
     and length checks work unchanged.
     """
@@ -120,7 +102,7 @@ def lift_map(planar_samples: Sequence[PlanarMapSample], mu0: DiscreteMeasure, ma
     for k, (sample, atom) in enumerate(zip(planar_samples, mu0.atoms)):
         dx = abs(sample.source.x - atom.x)
         dy = abs(sample.source.y - atom.y)
-        if max(dx, dy) > match_tol:
+        if max(dx, dy) > 1e-9:
             raise ProjectionMismatch(
                 f"sample {k} projects to {sample.source!r}, atom is ({atom.x}, {atom.y})"
             )
@@ -191,23 +173,16 @@ def right_translation_verdict(
     )
 
 
-def seeded_verdict_instance(
-    seed: int,
-    params: Optional[CostParams] = None,
-    gap_floor: float = 1e-6,
-    max_tries: int = 64,
-):
+def seeded_verdict_instance(seed: int):
     """Deterministic (mu, q0) pair for exercising right_translation_verdict.
 
     Even seeds draw a planar translation (z0 = 0, x0 > |y0|), which is
     optimal for every source measure, and any atom cluster will do.  Odd
     seeds draw a twisted translation (z0 != 0); a finite cluster can still
-    make the translation optimal, so candidates are redrawn until some
-    rearrangement strictly beats it by more than gap_floor.  Either way the
-    verdict at threshold 1e-8 is decidable with a wide margin.
+    make the translation optimal, so up to 64 candidates are drawn until
+    some rearrangement strictly beats it by more than 1e-6 at p = 0.5.
+    Either way the verdict at threshold 1e-8 is decidable with a wide margin.
     """
-    if params is None:
-        params = CostParams(0.5)
     rng = np.random.default_rng(seed)
 
     def draw_cluster(spread: float) -> DiscreteMeasure:
@@ -233,12 +208,9 @@ def seeded_verdict_instance(
 
     if seed % 2 == 0:
         return draw_cluster(0.5), draw_base(planar=True)
-    for _ in range(max_tries):
+    for _ in range(64):
         mu = draw_cluster(rng.uniform(0.25, 0.45))
         q0 = draw_base(planar=False)
-        verdict = right_translation_verdict(mu, q0, params)
-        if verdict.gap > gap_floor:
+        if right_translation_verdict(mu, q0, CostParams(0.5)).gap > 1e-6:
             return mu, q0
-    raise GenerationFailure(
-        f"seed {seed}: no cluster with improvement above {gap_floor} in {max_tries} tries"
-    )
+    raise GenerationFailure(f"seed {seed}: no cluster with improvement above 1e-6 in 64 tries")

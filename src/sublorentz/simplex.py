@@ -56,6 +56,7 @@ from .errors import NoCausalCoupling
 _MASS_TOL = 1e-12
 _PIVOT_TOL = 1e-12
 _RELAX_TOL = 1e-13
+_MAX_PIVOTS = 200000
 
 _log = logging.getLogger("sublorentz")
 
@@ -119,7 +120,7 @@ def _raised_cycle_is_positive(via, tail, weight, scale):
     return float(w.sum()) > allowance
 
 
-def solve_max_transport(values, allowed, supplies, demands, max_pivots=200000):
+def solve_max_transport(values, allowed, supplies, demands):
     """Solve the maximization transportation problem.
 
     values: (n, m) array of arc gains; entries at disallowed arcs ignored.
@@ -197,7 +198,7 @@ def solve_max_transport(values, allowed, supplies, demands, max_pivots=200000):
                 break
         if entering < 0:
             break
-        if pivots == max_pivots:
+        if pivots == _MAX_PIVOTS:
             raise RuntimeError("pivot limit exceeded; this indicates a solver bug")
         pivots += 1
 

@@ -130,7 +130,7 @@ def solve_cost_matrix(cost: CostMatrix, supplies, demands):
     return TransportPlan(masses, value), DualPotentials(phi, psi)
 
 
-def strengthen_duals(plan: TransportPlan, cost: CostMatrix, margin_cap: float = 1e3) -> DualPotentials:
+def strengthen_duals(plan: TransportPlan, cost: CostMatrix) -> DualPotentials:
     """Move optimal duals into the interior of the dual optimal face.
 
     The simplex returns a vertex of the dual polytope, where constraints
@@ -166,7 +166,7 @@ def strengthen_duals(plan: TransportPlan, cost: CostMatrix, margin_cap: float = 
     while solve_margin(hi) is not None:
         lo = hi
         hi *= 4.0
-        if hi > margin_cap:
+        if hi > 1e3:
             break
     if solve_margin(hi) is None:
         for _ in range(60):
@@ -196,16 +196,15 @@ def duality_gap(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     cost: CostMatrix,
-    feas_tol: float = 1e-9,
 ) -> float:
     """Dual objective minus primal value; near zero certifies optimality.
 
     Raises InfeasibleDuals when psi[j] - phi[i] >= c[i,j] fails by more than
-    feas_tol on a causally feasible pair.
+    1e-9 on a causally feasible pair.
     """
     slack = duals.psi[None, :] - duals.phi[:, None] - cost.values
     worst = float(np.min(np.where(cost.feasible, slack, np.inf)))
-    if worst < -feas_tol:
+    if worst < -1e-9:
         raise InfeasibleDuals(f"dual constraint violated by {-worst:.3e}")
     dual_value = float(np.dot(duals.psi, nu.weights) - np.dot(duals.phi, mu.weights))
     return dual_value - plan.value
@@ -266,12 +265,12 @@ def check_cyclical_monotonicity(
     cost: CostMatrix,
     max_cycle: int = 6,
     seed: int = 0,
-    samples_per_length: int = 2000,
 ) -> MonotonicityReport:
     """Search support cycles for gain-improving reassignments.
 
     Exhaustive over all cycles up to max_cycle when the support has at most
-    12 pairs; otherwise a seeded random search, so repeated runs agree.
+    12 pairs; otherwise a seeded random search of 2000 cycles per length, so
+    repeated runs agree.
     """
     support = plan.support()
     rows = sorted({i for i, _ in support})
@@ -313,7 +312,7 @@ def check_cyclical_monotonicity(
     else:
         rng = np.random.default_rng(seed)
         for k in range(2, min(max_cycle, len(support)) + 1):
-            for _ in range(samples_per_length):
+            for _ in range(2000):
                 order = tuple(rng.choice(len(support), size=k, replace=False))
                 checked += 1
                 v = violation(order)

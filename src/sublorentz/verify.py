@@ -90,8 +90,9 @@ def _rk4_flow(q0: GroupPoint, cov0: FrameCovector, t: float, steps: int):
     return GroupPoint(x, y, z), FrameCovector(hx, hy, hz)
 
 
-def suite_exp_log_roundtrip(seed: int, n: int = 2000, tol: float = 1e-9) -> SuiteResult:
+def suite_exp_log_roundtrip(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
+    n = 2000
     base = GroupPoint(0.3, -0.2, 0.1)
     apex = mul(base, GroupPoint(2.0, 0.0, 0.0))
     worst = 0.0
@@ -99,12 +100,13 @@ def suite_exp_log_roundtrip(seed: int, n: int = 2000, tol: float = 1e-9) -> Suit
         back = exp_map(base, log_map(base, q))
         worst = max(worst, sup_distance(q, back))
     return SuiteResult(
-        "exp-log-roundtrip", worst <= tol, f"sup deviation {worst:.3e} over {n} points"
+        "exp-log-roundtrip", worst <= 1e-9, f"sup deviation {worst:.3e} over {n} points"
     )
 
 
-def suite_flow_vs_ode(seed: int, n: int = 60, tol: float = 1e-8) -> SuiteResult:
+def suite_flow_vs_ode(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
+    n = 60
     worst = 0.0
     for _ in range(n):
         cov = FrameCovector(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-1.5, 1.5))
@@ -119,25 +121,26 @@ def suite_flow_vs_ode(seed: int, n: int = 60, tol: float = 1e-8) -> SuiteResult:
                 abs(exact.cov.hY - approx_cov.hY),
             ),
         )
-    return SuiteResult("flow-vs-ode", worst <= tol, f"sup deviation {worst:.3e} over {n} flows")
+    return SuiteResult("flow-vs-ode", worst <= 1e-8, f"sup deviation {worst:.3e} over {n} flows")
 
 
-def suite_tau_consistency(seed: int, n: int = 500, tol: float = 1e-9) -> SuiteResult:
+def suite_tau_consistency(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(500):
         cov = _timelike_covector(rng)
         q = exp_map(IDENTITY, cov)
         worst = max(worst, abs(tau(IDENTITY, q) - math.sqrt(2.0 * energy(cov))))
     frozen = abs(tau(IDENTITY, GroupPoint(2.0, 1.0, 0.0)) - math.sqrt(3.0))
-    ok = worst <= tol and frozen <= 1e-12
+    ok = worst <= 1e-9 and frozen <= 1e-12
     return SuiteResult(
         "tau-consistency", ok, f"sup deviation {worst:.3e}; planar fixture {frozen:.3e}"
     )
 
 
-def suite_reverse_triangle(seed: int, n: int = 2000, tol: float = 1e-10) -> SuiteResult:
+def suite_reverse_triangle(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
+    n = 2000
     worst = 0.0
     for _ in range(n):
         a = GroupPoint(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
@@ -145,12 +148,13 @@ def suite_reverse_triangle(seed: int, n: int = 2000, tol: float = 1e-10) -> Suit
         c = mul(b, exp_map(IDENTITY, _timelike_covector(rng)))
         worst = max(worst, tau(a, b) + tau(b, c) - tau(a, c))
     return SuiteResult(
-        "reverse-triangle", worst <= tol, f"worst violation {worst:.3e} over {n} chains"
+        "reverse-triangle", worst <= 1e-10, f"worst violation {worst:.3e} over {n} chains"
     )
 
 
-def suite_planar_bound(seed: int, n: int = 2000, tol: float = 1e-10) -> SuiteResult:
+def suite_planar_bound(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
+    n = 2000
     worst = 0.0
     checked = 0
     while checked < n:
@@ -162,17 +166,17 @@ def suite_planar_bound(seed: int, n: int = 2000, tol: float = 1e-10) -> SuiteRes
         planar = math.sqrt(max((b.x - a.x) ** 2 - (b.y - a.y) ** 2, 0.0))
         worst = max(worst, tau(a, b) - planar)
     return SuiteResult(
-        "planar-bound", worst <= tol, f"worst excess {worst:.3e} over {n} pairs"
+        "planar-bound", worst <= 1e-10, f"worst excess {worst:.3e} over {n} pairs"
     )
 
 
-def suite_lp_duality(seed: int, instances: int = 20, tol: float = 1e-9) -> SuiteResult:
+def suite_lp_duality(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     params = CostParams(0.5)
     worst_gap = 0.0
     worst_cm = 0.0
     worst_bf = 0.0
-    for k in range(instances):
+    for _ in range(20):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(2, 9))
         mu, nu = sample_chronological_pair(n, m, seed=int(rng.integers(1 << 30)), weights="random")
@@ -186,7 +190,7 @@ def suite_lp_duality(seed: int, instances: int = 20, tol: float = 1e-9) -> Suite
             p2, _ = solve_kantorovich(uni, nun, params)
             bf = brute_force_plan(uni, nun, params)
             worst_bf = max(worst_bf, abs(p2.value - bf.value))
-    ok = worst_gap <= tol and worst_cm <= tol and worst_bf <= tol
+    ok = worst_gap <= 1e-9 and worst_cm <= 1e-9 and worst_bf <= 1e-9
     return SuiteResult(
         "lp-duality",
         ok,
@@ -194,12 +198,12 @@ def suite_lp_duality(seed: int, instances: int = 20, tol: float = 1e-9) -> Suite
     )
 
 
-def suite_brenier_roundtrip(seed: int, instances: int = 4, tol: float = 1e-6) -> SuiteResult:
+def suite_brenier_roundtrip(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     params = CostParams(0.5)
     worst_target = 0.0
     worst_round = 0.0
-    for _ in range(instances):
+    for _ in range(4):
         n = int(rng.integers(4, 7))
         mu, nu = sample_chronological_pair(n, n, seed=int(rng.integers(1 << 30)))
         cm = cost_matrix(mu, nu, params)
@@ -212,7 +216,7 @@ def suite_brenier_roundtrip(seed: int, instances: int = 4, tol: float = 1e-6) ->
             worst_target = max(worst_target, sup_distance(s.image, nu.atoms[assigned[i]]))
         bwd = backward_map_from_duals(nu, duals.phi, mu.atoms, params)
         worst_round = max(worst_round, inverse_roundtrip_check(fwd, bwd))
-    ok = worst_target <= tol and worst_round <= tol
+    ok = worst_target <= 1e-6 and worst_round <= 1e-6
     return SuiteResult(
         "brenier-roundtrip",
         ok,
@@ -220,7 +224,7 @@ def suite_brenier_roundtrip(seed: int, instances: int = 4, tol: float = 1e-6) ->
     )
 
 
-def suite_interpolation(seed: int, tol_point: float = 1e-9, tol_measure: float = 1e-6) -> SuiteResult:
+def suite_interpolation(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     params = CostParams(0.5)
     worst_point = 0.0
@@ -247,7 +251,7 @@ def suite_interpolation(seed: int, tol_point: float = 1e-9, tol_measure: float =
             ps, _ = solve_kantorovich(mus, mut, params)
             ell_st = (params.p * ps.value) ** (1.0 / params.p)
             worst_measure = max(worst_measure, abs(ell_st - (t - s) * ell))
-    ok = worst_point <= tol_point and worst_measure <= tol_measure
+    ok = worst_point <= 1e-9 and worst_measure <= 1e-6
     return SuiteResult(
         "displacement-interpolation",
         ok,
@@ -255,7 +259,8 @@ def suite_interpolation(seed: int, tol_point: float = 1e-9, tol_measure: float =
     )
 
 
-def suite_right_translation(seed: int, instances: int = 20) -> SuiteResult:
+def suite_right_translation(seed: int) -> SuiteResult:
+    instances = 20
     agreed = 0
     for k in range(instances):
         mu, q0 = seeded_verdict_instance(seed + k)
@@ -267,7 +272,7 @@ def suite_right_translation(seed: int, instances: int = 20) -> SuiteResult:
     )
 
 
-def suite_monge_ampere(seed: int, tol: float = 1e-6) -> SuiteResult:
+def suite_monge_ampere(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     params = CostParams(0.5)
     q0 = GroupPoint(1.0, 0.5, 0.0)
@@ -295,7 +300,7 @@ def suite_monge_ampere(seed: int, tol: float = 1e-6) -> SuiteResult:
     ]
     report = monge_ampere_residual(grad_translation, sources, t, rho0, rhot, params)
     worst_det = max(abs(det - 1.0) for _, _, det, _ in report.points)
-    ok = report.max_residual <= tol and worst_det <= tol
+    ok = report.max_residual <= 1e-6 and worst_det <= 1e-6
     return SuiteResult(
         "monge-ampere",
         ok,
@@ -303,11 +308,11 @@ def suite_monge_ampere(seed: int, tol: float = 1e-6) -> SuiteResult:
     )
 
 
-def suite_minkowski_lift(seed: int, instances: int = 10, tol: float = 1e-9) -> SuiteResult:
+def suite_minkowski_lift(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     params = CostParams(0.5)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(10):
         slope = rng.uniform(-0.6, 0.6)
         n = int(rng.integers(2, 6))
         m = int(rng.integers(2, 6))
@@ -323,11 +328,11 @@ def suite_minkowski_lift(seed: int, instances: int = 10, tol: float = 1e-9) -> S
         native, _ = solve_kantorovich(native_mu, native_nu, params)
         worst = max(worst, abs(sol.value - native.value))
     return SuiteResult(
-        "minkowski-lift", worst <= tol, f"planar-vs-native value diff {worst:.3e}"
+        "minkowski-lift", worst <= 1e-9, f"planar-vs-native value diff {worst:.3e}"
     )
 
 
-def suite_partition_length(seed: int, tol: float = 1e-6) -> SuiteResult:
+def suite_partition_length(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(5):
@@ -348,12 +353,12 @@ def suite_partition_length(seed: int, tol: float = 1e-6) -> SuiteResult:
         if not monotone:
             return SuiteResult("partition-length", False, "partition sums increased")
     return SuiteResult(
-        "partition-length", worst <= tol, f"finest-partition length error {worst:.3e}"
+        "partition-length", worst <= 1e-6, f"finest-partition length error {worst:.3e}"
     )
 
 
-def run_suites(seed: int = 0):
-    """All self-check suites at their default scales, seeded."""
+def run_suites(seed: int):
+    """All self-check suites, seeded."""
     return [
         suite_exp_log_roundtrip(seed),
         suite_flow_vs_ode(seed + 1),

@@ -25,6 +25,7 @@ from sublorentz.errors import (
     NondifferentiableAt,
     NonCausalRectangle,
     NotTimelikeGradient,
+    OutOfDomain,
 )
 from sublorentz.geodesics import log_map
 from sublorentz.heisenberg import (
@@ -118,6 +119,13 @@ def test_brenier_map_rejects_non_timelike_gradients():
         brenier_map(IDENTITY, FrameCovector(-1.0, 0.0, 0.0), P)  # future cone
     with pytest.raises(NotTimelikeGradient):
         brenier_map(IDENTITY, FrameCovector(1.0, 1.0, 0.0), P)  # null
+
+
+def test_brenier_map_step_past_cosh_range_is_a_typed_error():
+    # energy 0.005 at p = 0.5 scales the step by 1 / speed^3 = 1000, so the
+    # exponential covector has |hZ| = 1000, past what cosh can represent
+    with pytest.raises(OutOfDomain):
+        brenier_map(IDENTITY, FrameCovector(0.1, 0.0, 1.0), P)
 
 
 def test_forward_map_hits_plan_targets():

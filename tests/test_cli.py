@@ -1,10 +1,11 @@
 """End-to-end CLI behaviour: output lines, files written, exit codes."""
 
+import argparse
 import math
 
 import pytest
 
-from sublorentz.cli import main
+from sublorentz.cli import build_parser, main
 from sublorentz.measures_io import HEADER, load_measure
 
 
@@ -67,6 +68,54 @@ def test_out_of_range_arguments_exit_2(fixture_files, tmp_path):
     # the ends of each range are accepted
     assert main(["interpolate", "--mu", mu, "--nu", nu, "--t", "0,1", "--out", prefix]) == 0
     assert main(["tau", "--from", "0,0,0", "--to", "2,1,0", "--digits", "1"]) == 0
+
+
+# Every option string each subcommand accepts, its own inputs included.
+ACCEPTED_OPTIONS = {
+    "tau": "--from --to --digits",
+    "logmap": "--from --to --digits",
+    "geodesic": "--from --cov --t --n --out --svg --digits",
+    "solve": "--mu --nu --p --seed --out --svg --digits",
+    "brenier": "--mu --nu --t --p --out --svg",
+    "interpolate": "--mu --nu --t --p --out",
+    "right-translation": "--mu --q0 --p --tol --out --digits",
+    "verify": "--seed",
+}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert accepted == {name: set(opts.split()) for name, opts in ACCEPTED_OPTIONS.items()}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p", "0.3"],
+        ["interpolate", "--mu", "mu.txt", "--nu", "nu.txt", "--t", "0.5", "--svg", "f.svg"],
+        ["brenier", "--mu", "mu.txt", "--nu", "nu.txt", "--digits", "3"],
+        ["tau", "--from", "0,0,0", "--to", "2,1,0", "--seed", "1"],
+        ["logmap", "--from", "0,0,0", "--to", "2,1,0", "--out", "f"],
+        ["geodesic", "--cov", "-1,0,1", "--tol", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unread_flag_exits_2_and_writes_nothing(argv, fixture_files, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _argparse_exit_code(argv) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mu.txt", "nu.txt"]
+
+
+def test_geodesic_past_cosh_range_exits_4_without_traceback(capsys):
+    assert main(["geodesic", "--cov", "-1,0,800", "--t", "1", "--n", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: OutOfDomain:")
+    assert "Traceback" not in captured.err
 
 
 def test_negative_triples_parse():
