@@ -4,12 +4,12 @@ Core layers:
 
 * :mod:`sublorentz.heisenberg` -- group arithmetic, covector conventions;
 * :mod:`sublorentz.causality` -- causal classification, time separation tau;
-* :mod:`sublorentz.geodesics` -- Hamiltonian flow, exp/log maps, null boundary;
+* :mod:`sublorentz.geodesics` -- Hamiltonian flow, exp/log maps;
 * :mod:`sublorentz.transport` -- causal Kantorovich problem, duals, monotonicity;
 * :mod:`sublorentz.brenier` -- semi-discrete potentials, forward and backward
   transport maps, displacement interpolation, mass-conservation residuals;
 * :mod:`sublorentz.minkowski` -- Minkowski-plane reference problem on the
-  (x, y) projection of a measure, lifts, right-translation verdicts;
+  (x, y) projection of a measure, right-translation verdicts;
 * :mod:`sublorentz.measures_io` -- measure/plan file formats and samplers.
 
 The ``sublorentz`` command line tool fronts the same operations.
@@ -24,9 +24,7 @@ from .heisenberg import (
     GroupPoint,
     coord_to_frame,
     energy,
-    frame_to_coord,
     group_difference,
-    inv,
     mul,
 )
 from .causality import (
@@ -46,7 +44,6 @@ from .geodesics import (
     exp_map,
     flow,
     log_map,
-    null_boundary_geodesic,
 )
 from .transport import (
     CostMatrix,
@@ -72,17 +69,14 @@ from .brenier import (
     monge_ampere_residual,
     potential_from_duals,
     potential_gradient,
-    potential_value,
     transport_map_from_duals,
 )
 from .minkowski import (
-    lift_map,
     right_translation_verdict,
     seeded_verdict_instance,
     solve_minkowski,
 )
 from .measures_io import (
-    histogram_density,
     load_measure,
     sample_chronological_pair,
     sample_diamond,
@@ -98,10 +92,8 @@ __all__ = [
     "CoordCovector",
     "FrameCovector",
     "mul",
-    "inv",
     "group_difference",
     "coord_to_frame",
-    "frame_to_coord",
     "energy",
     "CausalRelation",
     "PlanarPoint",
@@ -117,7 +109,6 @@ __all__ = [
     "flow",
     "exp_map",
     "log_map",
-    "null_boundary_geodesic",
     "CostParams",
     "CostMatrix",
     "DiscreteMeasure",
@@ -133,7 +124,6 @@ __all__ = [
     "SemiDiscretePotential",
     "MapSample",
     "potential_from_duals",
-    "potential_value",
     "potential_gradient",
     "brenier_map",
     "interpolate",
@@ -142,7 +132,6 @@ __all__ = [
     "inverse_roundtrip_check",
     "monge_ampere_residual",
     "solve_minkowski",
-    "lift_map",
     "right_translation_verdict",
     "seeded_verdict_instance",
     "load_measure",
@@ -151,5 +140,4 @@ __all__ = [
     "save_trajectory",
     "sample_diamond",
     "sample_chronological_pair",
-    "histogram_density",
 ]

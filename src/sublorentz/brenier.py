@@ -34,7 +34,6 @@ import numpy as np
 from .causality import CausalRelation, classify, tau
 from .errors import (
     DomainViolation,
-    NonCausalRectangle,
     NondifferentiableAt,
     NotTimelikeGradient,
     OutOfDomain,
@@ -70,25 +69,6 @@ def potential_from_duals(
     return SemiDiscretePotential(tuple(nu.atoms), np.asarray(duals.psi, float), params)
 
 
-def cp_transform(phi_values, a1_atoms, a2_atoms, params: CostParams) -> np.ndarray:
-    """c_p-conjugate table: psi_j = max_i(phi_i + c_p(x_i, y_j)).
-
-    Every pair of A1 x A2 must be causally related (null pairs contribute at
-    zero gain); otherwise NonCausalRectangle.  Iterating the transform pair
-    (max then min) is idempotent after one sweep and dominates the input.
-    """
-    phi = np.asarray(phi_values, float)
-    out = np.empty(len(a2_atoms))
-    for j, y in enumerate(a2_atoms):
-        best = -math.inf
-        for i, x in enumerate(a1_atoms):
-            if classify(x, y) is CausalRelation.UNRELATED:
-                raise NonCausalRectangle(f"pair ({x!r}, {y!r}) is causally unrelated")
-            best = max(best, phi[i] + params.gain(tau(x, y)))
-        out[j] = best
-    return out
-
-
 def _branch_values(pot: SemiDiscretePotential, q: GroupPoint) -> np.ndarray:
     vals = np.empty(len(pot.target_atoms))
     for j, y in enumerate(pot.target_atoms):
@@ -98,11 +78,6 @@ def _branch_values(pot: SemiDiscretePotential, q: GroupPoint) -> np.ndarray:
             )
         vals[j] = pot.psi[j] - pot.params.gain(tau(q, y))
     return vals
-
-
-def potential_value(pot: SemiDiscretePotential, q: GroupPoint) -> float:
-    """Evaluate the potential; q must chronologically precede every target."""
-    return float(np.min(_branch_values(pot, q)))
 
 
 def _clear_argmin(vals: np.ndarray, where) -> int:

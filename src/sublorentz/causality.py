@@ -11,11 +11,12 @@ inverse of
 an odd, strictly increasing bijection of the real line onto (-1/4, 1/4).
 
 One cone test, :func:`cone_state`, decides both causal relations.  It
-compares the cone form F with ``slack`` times S = x^2 + y^2 + 4|z|, and x
-with ``slack`` times sqrt(S).  F and S scale alike under the dilations
-(x, y, z) -> (l x, l y, l^2 z), so the verdict does not depend on the scale
-of the pair.  A point within ``slack`` relative of the boundary counts as
-null: the planar point (1, 1 - 1e-13, 0) is null, though it is timelike.
+compares the cone form F with DEFAULT_SLACK = 1e-12 times
+S = x^2 + y^2 + 4|z|, and x with DEFAULT_SLACK times sqrt(S).  F and S scale
+alike under the dilations (x, y, z) -> (l x, l y, l^2 z), so the verdict does
+not depend on the scale of the pair.  A point within that relative slack of
+the boundary counts as null: the planar point (1, 1 - 1e-13, 0) is null,
+though it is timelike.
 
 Each kernel comes twice.  The scalar functions (``classify``, ``tau``,
 ``beta``) take GroupPoints and serve single pairs.  The array kernels
@@ -53,38 +54,37 @@ class CausalRelation(enum.Enum):
     UNRELATED = "Unrelated"
 
 
-def cone_state(x, y, z, slack: float = DEFAULT_SLACK):
+def cone_state(x, y, z):
     """(chronological, causal) verdicts on a group difference (x, y, z).
 
-    With F = -x^2 + y^2 + 4|z| and S = x^2 + y^2 + 4|z|, the pair is
-    chronological when F < -slack S and x > 0, and causal (chronological or
-    null) when F <= slack S and x >= -slack sqrt(S).  Written in & / abs
-    arithmetic, so x, y, z may be floats or numpy arrays of one shape.
+    With F = -x^2 + y^2 + 4|z|, S = x^2 + y^2 + 4|z| and slack =
+    DEFAULT_SLACK, the pair is chronological when F < -slack S and x > 0, and
+    causal (chronological or null) when F <= slack S and x >= -slack sqrt(S).
+    Written in & / abs arithmetic, so x, y, z may be floats or numpy arrays
+    of one shape.
     """
     xx = x * x
     r = y * y + 4.0 * abs(z)
     f = r - xx
     s = r + xx
     del xx, r  # on large arrays, fewer temporaries alive at once
-    chronological = (f < -slack * s) & (x > 0.0)
-    causal = (f <= slack * s) & (x >= -slack * s**0.5)
+    chronological = (f < -DEFAULT_SLACK * s) & (x > 0.0)
+    causal = (f <= DEFAULT_SLACK * s) & (x >= -DEFAULT_SLACK * s**0.5)
     return chronological, causal
 
 
-def classify(q0: GroupPoint, q: GroupPoint, slack: float = DEFAULT_SLACK) -> CausalRelation:
+def classify(q0: GroupPoint, q: GroupPoint) -> CausalRelation:
     """Causal relation of q relative to q0.
 
     Applies :func:`cone_state` to the group difference q0^{-1} q: F < 0
     with x > 0 is the open chronological future, F = 0 with x >= 0 the null
     boundary (reachable, zero time separation).  The slack absorbs roundoff
     on points constructed to lie on the boundary.  It is relative: F is
-    compared with slack * S, S = x^2 + y^2 + 4|z|, so a pair with x > 0 is
-    null when |F| <= slack * S, whatever its scale.
-    Callers needing a different margin pass their own, in the same relative
-    units.
+    compared with DEFAULT_SLACK * S, S = x^2 + y^2 + 4|z|, so a pair with
+    x > 0 is null when |F| <= DEFAULT_SLACK * S, whatever its scale.
     """
     d = group_difference(q0, q)
-    chronological, causal = cone_state(d.x, d.y, d.z, slack)
+    chronological, causal = cone_state(d.x, d.y, d.z)
     if chronological:
         return CausalRelation.CHRONOLOGICAL
     if causal:
@@ -105,9 +105,9 @@ def classify_array(a, b):
     a and b are float arrays whose last axis holds (x, y, z); the leading
     axes broadcast, so ``classify_array(p[:, None], q[None, :])`` tests every
     pair of two families.  Entry by entry the masks are those of
-    :func:`classify` at the default slack.
+    :func:`classify`.
     """
-    return cone_state(*_differences(a, b), DEFAULT_SLACK)
+    return cone_state(*_differences(a, b))
 
 
 # Series branches: the closed forms for alpha and alpha' lose digits to
@@ -241,7 +241,7 @@ def beta_array(zeta) -> np.ndarray:
     return np.copysign(out.reshape(zeta.shape), zeta)
 
 
-def tau(q0: GroupPoint, q: GroupPoint, slack: float = DEFAULT_SLACK) -> float:
+def tau(q0: GroupPoint, q: GroupPoint) -> float:
     """Time separation between q0 and q.
 
     Zero unless q is in the open chronological future of q0; there, with
@@ -249,11 +249,11 @@ def tau(q0: GroupPoint, q: GroupPoint, slack: float = DEFAULT_SLACK) -> float:
 
         tau = sqrt(m) * b / sinh(b)      (= sqrt(m) at b = 0).
 
-    ``slack`` is the relative margin of :func:`classify`: pairs within
-    slack * S of the null boundary get tau = 0.
+    Pairs that :func:`classify` calls null, within DEFAULT_SLACK * S of the
+    boundary, get tau = 0.
     """
     d = group_difference(q0, q)
-    if not cone_state(d.x, d.y, d.z, slack)[0]:
+    if not cone_state(d.x, d.y, d.z)[0]:
         return 0.0
     return _twist_and_separation(d)[1]
 
@@ -275,7 +275,7 @@ def tau_array(a, b):
     :func:`tau` on it; only chronological entries reach ``beta_array``.
     """
     x, y, z = _differences(a, b)
-    chronological, causal = cone_state(x, y, z, DEFAULT_SLACK)
+    chronological, causal = cone_state(x, y, z)
     x, y, z = x[chronological], y[chronological], z[chronological]
     m = (x - y) * (x + y)
     bt = beta_array(z / m)

@@ -13,10 +13,6 @@ class NotChronological(SubLorentzError):
     """Target point is not in the chronological future of the base point."""
 
 
-class NotOnNullBoundary(SubLorentzError):
-    """Point is not on the null boundary of the causal future."""
-
-
 class OutOfDomain(SubLorentzError):
     """Argument lies outside the open domain of an inverse function."""
 
@@ -34,10 +30,6 @@ class InfeasibleDuals(SubLorentzError):
     """Dual potentials violate the constraint psi(y) - phi(x) >= c(x, y)."""
 
 
-class NonCausalRectangle(SubLorentzError):
-    """A transform over A1 x A2 requires every pair causally related."""
-
-
 class DomainViolation(SubLorentzError):
     """Query point is outside the chronological past of the target atoms."""
 
@@ -53,10 +45,6 @@ class NotTimelikeGradient(SubLorentzError):
 
 class SingularJacobian(SubLorentzError):
     """Finite-difference Jacobian of the transport map is singular."""
-
-
-class ProjectionMismatch(SubLorentzError):
-    """Planar map samples do not project-match the 3d source atoms."""
 
 
 class ParseError(SubLorentzError):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .causality import _twist_and_separation, cone_state
-from .errors import NotChronological, NotOnNullBoundary, OutOfDomain
+from .errors import NotChronological, OutOfDomain
 from .heisenberg import (
     FrameCovector,
     GroupPoint,
@@ -135,55 +135,8 @@ class GeodesicArc:
         if not is_future_timelike(self.cov0):
             raise ValueError("initial covector must be future-directed timelike")
 
-    def state(self, t: float) -> HamiltonianState:
-        return flow(self.base, self.cov0, t)
-
     def point(self, t: float) -> GroupPoint:
         return flow(self.base, self.cov0, t).point
-
-
-def null_boundary_geodesic(q0: GroupPoint, q: GroupPoint, n_samples: int = 65):
-    """Polyline tracing the broken null curve from q0 to a point on the
-    null boundary of its causal future.
-
-    In translated coordinates (x1, y1, z1) with |z1| = (x1^2 - y1^2)/4 the
-    curve is one or two straight null segments:
-
-      z1 = 0:  t -> (t, sign(y1) t, 0) on [0, x1]
-      z1 > 0:  (t, -t, 0) up to T* = (x1 - y1)/2, then (t, t - (x1-y1), T*(t - T*))
-      z1 < 0:  (t, t, 0) up to T* = (x1 + y1)/2, then (t, x1+y1-t, -T*(t - T*))
-
-    Both segments are horizontal with null velocity, so the curve has zero
-    length; it is the abnormal extremal reaching the boundary point.
-    Returns n_samples points, left-translated back to base at q0.
-    """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    d = group_difference(q0, q)
-    x1, y1, z1 = d
-    defect = -x1 * x1 + y1 * y1 + 4.0 * abs(z1)
-    scale = max(1.0, x1 * x1)
-    if abs(defect) > 1e-9 * scale or x1 < 0.0:
-        raise NotOnNullBoundary(
-            f"group difference {d!r} is off the null boundary (defect {defect:.3e})"
-        )
-
-    def at(t: float) -> GroupPoint:
-        if z1 > 0.0:
-            t_star = 0.5 * (x1 - y1)
-            if t <= t_star:
-                return GroupPoint(t, -t, 0.0)
-            return GroupPoint(t, t - (x1 - y1), t_star * (t - t_star))
-        if z1 < 0.0:
-            t_star = 0.5 * (x1 + y1)
-            if t <= t_star:
-                return GroupPoint(t, t, 0.0)
-            return GroupPoint(t, x1 + y1 - t, -t_star * (t - t_star))
-        sgn = 1.0 if y1 >= 0.0 else -1.0
-        return GroupPoint(t, sgn * t, 0.0)
-
-    h = x1 / (n_samples - 1)
-    return [mul(q0, at(k * h)) for k in range(n_samples)]
 
 
 def geodesic_trace(arc: GeodesicArc, n_samples: int):
@@ -201,5 +154,4 @@ __all__ = [
     "exp_map",
     "log_map",
     "geodesic_trace",
-    "null_boundary_geodesic",
 ]

@@ -58,16 +58,11 @@ def mul(a: GroupPoint, b: GroupPoint) -> GroupPoint:
     )
 
 
-def inv(a: GroupPoint) -> GroupPoint:
-    """Group inverse; in exponential coordinates this is negation."""
-    return GroupPoint(-a.x, -a.y, -a.z)
-
-
 def group_difference(a: GroupPoint, b: GroupPoint) -> GroupPoint:
     """a^{-1} * b: the position of b as seen from a after left translation.
 
-    Bit for bit the product mul(inv(a), b), with the negations folded into
-    the subtractions.  The coordinates may also be numpy arrays that
+    Bit for bit the product (-a) * b, with the negations folded into the
+    subtractions.  The coordinates may also be numpy arrays that
     broadcast against each other, which gives the differences of many
     pairs at once.
     """
@@ -84,15 +79,6 @@ def coord_to_frame(base: GroupPoint, cov: CoordCovector) -> FrameCovector:
         cov.du - 0.5 * base.y * cov.dw,
         cov.dv + 0.5 * base.x * cov.dw,
         cov.dw,
-    )
-
-
-def frame_to_coord(base: GroupPoint, cov: FrameCovector) -> CoordCovector:
-    """Inverse of :func:`coord_to_frame` at the same base point."""
-    return CoordCovector(
-        cov.hX + 0.5 * base.y * cov.hZ,
-        cov.hY - 0.5 * base.x * cov.hZ,
-        cov.hZ,
     )
 
 

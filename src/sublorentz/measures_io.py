@@ -165,37 +165,3 @@ def sample_chronological_pair(n: int, m: int, seed: int, weights: str = "uniform
         raise ValueError(f"unknown weights mode {weights!r}")
     return DiscreteMeasure(mu_atoms, wa), DiscreteMeasure(nu_atoms, wb)
 
-
-def histogram_density(data, box, bins=8):
-    """Histogram density estimate over a box; returns a callable q -> float.
-
-    data is a DiscreteMeasure or an iterable of points; bins is an int or a
-    triple.  Bin mass is normalized per unit coordinate volume, so the
-    callback integrates to the sampled mass fraction inside the box.  Points
-    outside the box score zero.
-    """
-    if isinstance(data, DiscreteMeasure):
-        pts = np.array([[a.x, a.y, a.z] for a in data.atoms])
-        w = np.asarray(data.weights, float)
-    else:
-        pts = np.array([[p[0], p[1], p[2]] for p in data])
-        w = np.full(len(pts), 1.0 / len(pts))
-    if isinstance(bins, int):
-        bins = (bins, bins, bins)
-    if min(bins) < 2:
-        raise ValueError("need at least 2 bins per axis")
-    lows = np.array([lo for lo, _ in box])
-    highs = np.array([hi for _, hi in box])
-    hist, _ = np.histogramdd(pts, bins=bins, range=tuple(box), weights=w)
-    widths = (highs - lows) / np.asarray(bins)
-    volume = float(np.prod(widths))
-    dens = hist / volume
-
-    def density(q) -> float:
-        v = np.array([q[0], q[1], q[2]])
-        if np.any(v < lows) or np.any(v > highs):
-            return 0.0
-        idx = np.minimum(((v - lows) / widths).astype(int), np.asarray(bins) - 1)
-        return float(dens[tuple(idx)])
-
-    return density

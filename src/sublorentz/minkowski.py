@@ -1,15 +1,11 @@
-"""Minkowski-plane transport and its lift to the Heisenberg group.
+"""Minkowski-plane transport on the (x, y) projection of measures.
 
 The plane R^{1,1} with cone {dx >= |dy|} embeds in the group as the z = 0
-slice in the following strong sense: for planar points the group time
-separation equals the planar one, and any planar transport map lifts to a
-group map between measures concentrated on horizontal lifts.  The lift of a
-planar target (T1, T2) over a source (x, y, z) is
-
-    (T1, T2, z + (x (T2 - y) - (T1 - x) y) / 2),
-
-the endpoint of the left-translated straight line.  The lift preserves
-per-sample time separations, so planar optimal plans stay optimal upstairs.
+slice.  Between points of one line through the origin of that slice the
+group time separation equals the planar one, and so does tau from a point
+(x, y, z) to its horizontal lift (T1, T2, z + (x (T2 - y) - (T1 - x) y) / 2)
+over a planar target (T1, T2).  For measures on such a line the planar LP of
+solve_minkowski therefore has the optimal value of the native one.
 
 The same slice carries the right-translation test case: pushing a measure
 forward by q -> q * q0 moves every atom by the same group difference q0, so
@@ -22,13 +18,12 @@ observed gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .causality import CausalRelation, PlanarPoint, classify, minkowski_tau, tau
-from .errors import GenerationFailure, NoCausalCoupling, ProjectionMismatch
-from .heisenberg import IDENTITY, FrameCovector, GroupPoint, mul
+from .causality import CausalRelation, classify, minkowski_tau, tau
+from .errors import GenerationFailure, NoCausalCoupling
+from .heisenberg import IDENTITY, GroupPoint, mul
 from .transport import (
     CostMatrix,
     CostParams,
@@ -38,7 +33,6 @@ from .transport import (
     solve_cost_matrix,
     solve_kantorovich,
 )
-from .brenier import MapSample
 
 
 def project_measure(mu: DiscreteMeasure) -> DiscreteMeasure:
@@ -79,43 +73,6 @@ def solve_minkowski(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams
     cost = planar_cost_matrix(mu, nu, params)
     plan, duals = solve_cost_matrix(cost, mu.weights, nu.weights)
     return MinkowskiSolution(plan, duals, cost)
-
-
-class PlanarMapSample(NamedTuple):
-    source: PlanarPoint
-    image: PlanarPoint
-
-
-def lift_map(planar_samples: Sequence[PlanarMapSample], mu0: DiscreteMeasure) -> list:
-    """Lift a planar transport map to the group along horizontal lines.
-
-    planar_samples must be index-aligned with mu0.atoms and project onto them
-    within 1e-9 (else ProjectionMismatch).  Each lifted sample carries
-    the covector of the straight-line geodesic, so downstream interpolation
-    and length checks work unchanged.
-    """
-    if len(planar_samples) != len(mu0.atoms):
-        raise ProjectionMismatch(
-            f"{len(planar_samples)} planar samples for {len(mu0.atoms)} atoms"
-        )
-    out = []
-    for k, (sample, atom) in enumerate(zip(planar_samples, mu0.atoms)):
-        dx = abs(sample.source.x - atom.x)
-        dy = abs(sample.source.y - atom.y)
-        if max(dx, dy) > 1e-9:
-            raise ProjectionMismatch(
-                f"sample {k} projects to {sample.source!r}, atom is ({atom.x}, {atom.y})"
-            )
-        t1, t2 = sample.image
-        u = t1 - atom.x
-        v = t2 - atom.y
-        image = GroupPoint(
-            t1, t2, atom.z + 0.5 * (atom.x * v - u * atom.y)
-        )
-        t_arc = minkowski_tau(sample.source, sample.image)
-        cov = FrameCovector(-u, v, 0.0)
-        out.append(MapSample(atom, image, cov, t_arc))
-    return out
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ _W, _H, _PAD = 640, 420, 46
 class _Frame:
     """Affine map from a data window to pixel coordinates (y flipped)."""
 
-    def __init__(self, xs, ys, width=_W, height=_H, pad=_PAD):
+    def __init__(self, xs, ys):
         xlo, xhi = min(xs), max(xs)
         ylo, yhi = min(ys), max(ys)
         dx = (xhi - xlo) or 1.0
@@ -26,15 +26,12 @@ class _Frame:
         ylo -= 0.05 * dy
         yhi += 0.05 * dy
         self.xlo, self.xhi, self.ylo, self.yhi = xlo, xhi, ylo, yhi
-        self.width, self.height, self.pad = width, height, pad
 
     def px(self, x):
-        return self.pad + (x - self.xlo) / (self.xhi - self.xlo) * (self.width - 2 * self.pad)
+        return _PAD + (x - self.xlo) / (self.xhi - self.xlo) * (_W - 2 * _PAD)
 
     def py(self, y):
-        return self.height - self.pad - (y - self.ylo) / (self.yhi - self.ylo) * (
-            self.height - 2 * self.pad
-        )
+        return _H - _PAD - (y - self.ylo) / (self.yhi - self.ylo) * (_H - 2 * _PAD)
 
 
 def _header(width, height):
@@ -45,15 +42,15 @@ def _header(width, height):
     )
 
 
-def _axes(parts, frame, xlabel, ylabel, title=""):
-    x0, y0 = frame.pad, frame.height - frame.pad
-    x1, y1 = frame.width - frame.pad, frame.pad
+def _axes(parts, xlabel, ylabel, title):
+    x0, y0 = _PAD, _H - _PAD
+    x1, y1 = _W - _PAD, _PAD
     parts.append(
         f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
         f'fill="none" stroke="#888" stroke-width="1"/>\n'
     )
     parts.append(
-        f'<text x="{(x0 + x1) / 2:.1f}" y="{frame.height - 12}" font-size="13" '
+        f'<text x="{(x0 + x1) / 2:.1f}" y="{_H - 12}" font-size="13" '
         f'text-anchor="middle" fill="#333">{xlabel}</text>\n'
     )
     parts.append(
@@ -67,12 +64,12 @@ def _axes(parts, frame, xlabel, ylabel, title=""):
         )
 
 
-def _arrow(parts, frame, a, b, width, color="#555"):
+def _arrow(parts, frame, a, b, width):
     x0, y0 = frame.px(a[0]), frame.py(a[1])
     x1, y1 = frame.px(b[0]), frame.py(b[1])
     parts.append(
         f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
-        f'stroke="{color}" stroke-width="{width:.2f}" stroke-opacity="0.75"/>\n'
+        f'stroke="#555" stroke-width="{width:.2f}" stroke-opacity="0.75"/>\n'
     )
     ang = math.atan2(y1 - y0, x1 - x0)
     size = 6.0 + 2.0 * width
@@ -81,7 +78,7 @@ def _arrow(parts, frame, a, b, width, color="#555"):
         ya = y1 - size * math.sin(ang + sgn * 0.45)
         parts.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{xa:.2f}" y2="{ya:.2f}" '
-            f'stroke="{color}" stroke-width="{width:.2f}" stroke-opacity="0.75"/>\n'
+            f'stroke="#555" stroke-width="{width:.2f}" stroke-opacity="0.75"/>\n'
         )
 
 
@@ -93,8 +90,8 @@ def write_plan_svg(path, mu, nu, support_masses, title="causal transport plan"):
     xs = [a.x for a in mu.atoms] + [b.x for b in nu.atoms]
     ys = [a.y for a in mu.atoms] + [b.y for b in nu.atoms]
     frame = _Frame(xs, ys)
-    parts = [_header(frame.width, frame.height)]
-    _axes(parts, frame, "x", "y", title)
+    parts = [_header(_W, _H)]
+    _axes(parts, "x", "y", title)
     mmax = max((m for _, _, m in support_masses), default=1.0) or 1.0
     for i, j, m in support_masses:
         a, b = mu.atoms[i], nu.atoms[j]
@@ -116,7 +113,7 @@ def write_plan_svg(path, mu, nu, support_masses, title="causal transport plan"):
         fh.write("".join(parts))
 
 
-def write_trace_svg(path, rows, title="geodesic"):
+def write_trace_svg(path, rows):
     """Two stacked panels of a trajectory: (x, y) above, (x, z) below.
 
     rows are (t, GroupPoint) pairs as produced by geodesic sampling.
@@ -132,7 +129,7 @@ def write_trace_svg(path, rows, title="geodesic"):
     for k, (frame, ylabel, get, poly) in enumerate(panels):
         shift = k * _H
         parts.append(f'<g transform="translate(0 {shift})">\n')
-        _axes(parts, frame, "x", ylabel, title if k == 0 else "")
+        _axes(parts, "x", ylabel, "geodesic" if k == 0 else "")
         parts.append(
             f'<polyline points="{poly}" fill="none" stroke="#3465a4" stroke-width="1.6"/>\n'
         )

@@ -163,12 +163,10 @@ def strengthen_duals(plan: TransportPlan, cost: CostMatrix) -> DualPotentials:
     if solve_margin(0.0) is None:
         raise InfeasibleDuals("support equalities admit no feasible duals")
     lo, hi = 0.0, 1.0
-    while solve_margin(hi) is not None:
+    while (feasible := solve_margin(hi) is not None) and hi < 1e3:
         lo = hi
         hi *= 4.0
-        if hi > 1e3:
-            break
-    if solve_margin(hi) is None:
+    if not feasible:
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if solve_margin(mid) is not None:

@@ -1,4 +1,4 @@
-"""Closed-form geodesic flow, exp/log inversion, null boundary curves."""
+"""Closed-form geodesic flow and exp/log inversion."""
 
 import math
 
@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sublorentz.causality import CausalRelation, classify, tau
-from sublorentz.errors import NotChronological, NotOnNullBoundary
+from sublorentz.causality import tau
+from sublorentz.errors import NotChronological
 from sublorentz.geodesics import (
     GeodesicArc,
     exp_map,
     flow,
     geodesic_trace,
     log_map,
-    null_boundary_geodesic,
 )
 from sublorentz.heisenberg import (
     IDENTITY,
@@ -190,38 +189,3 @@ def test_geodesic_trace_shape():
     assert sup_distance(rows[-1][1], arc.point(1.0)) == 0.0
     with pytest.raises(ValueError):
         geodesic_trace(arc, 1)
-
-
-def _assert_null_polyline(base, target, pts):
-    assert sup_distance(pts[0], base) <= 1e-12
-    assert sup_distance(pts[-1], target) <= 1e-9
-    for a, b in zip(pts, pts[1:]):
-        rel = classify(a, b, slack=1e-9)
-        assert rel is not CausalRelation.UNRELATED
-        assert tau(a, b, slack=1e-9) <= 1e-9
-
-
-def test_null_boundary_flat_case():
-    target = GroupPoint(2.0, 2.0, 0.0)
-    pts = null_boundary_geodesic(IDENTITY, target, n_samples=33)
-    _assert_null_polyline(IDENTITY, target, pts)
-
-
-def test_null_boundary_positive_z():
-    target = GroupPoint(2.0, 0.0, 1.0)
-    pts = null_boundary_geodesic(IDENTITY, target, n_samples=65)
-    _assert_null_polyline(IDENTITY, target, pts)
-
-
-def test_null_boundary_negative_z_translated():
-    base = GroupPoint(0.3, 0.1, -0.2)
-    target = mul(base, GroupPoint(1.5, -0.5, -0.5))
-    pts = null_boundary_geodesic(base, target, n_samples=65)
-    _assert_null_polyline(base, target, pts)
-
-
-def test_null_boundary_rejects_interior_points():
-    with pytest.raises(NotOnNullBoundary):
-        null_boundary_geodesic(IDENTITY, GroupPoint(2.0, 1.0, 0.0))
-    with pytest.raises(ValueError):
-        null_boundary_geodesic(IDENTITY, GroupPoint(1.0, 1.0, 0.0), n_samples=1)

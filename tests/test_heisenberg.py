@@ -11,9 +11,7 @@ from sublorentz.heisenberg import (
     GroupPoint,
     coord_to_frame,
     energy,
-    frame_to_coord,
     group_difference,
-    inv,
     is_future_timelike,
     mul,
     sup_distance,
@@ -47,8 +45,10 @@ def test_associativity(a, b, c):
 
 @given(points)
 def test_inverse(a):
-    assert sup_distance(mul(a, inv(a)), IDENTITY) <= 1e-12
-    assert sup_distance(mul(inv(a), a), IDENTITY) <= 1e-12
+    # group_difference(a, IDENTITY) = a^{-1} * e is the inverse of a
+    a_inv = group_difference(a, IDENTITY)
+    assert sup_distance(mul(a, a_inv), IDENTITY) <= 1e-12
+    assert sup_distance(mul(a_inv, a), IDENTITY) <= 1e-12
 
 
 @given(points, points)
@@ -63,15 +63,6 @@ def test_noncommutativity_shows_in_z():
     b = GroupPoint(0.0, 1.0, 0.0)
     assert mul(a, b).z == 0.5
     assert mul(b, a).z == -0.5
-
-
-@given(points, st.builds(CoordCovector, coords, coords, coords))
-def test_frame_coord_roundtrip(base, cov):
-    back = frame_to_coord(base, coord_to_frame(base, cov))
-    scale = 1.0 + max(abs(cov.du), abs(cov.dv), abs(cov.dw))
-    assert abs(back.du - cov.du) <= 1e-12 * scale
-    assert abs(back.dv - cov.dv) <= 1e-12 * scale
-    assert abs(back.dw - cov.dw) <= 1e-12 * scale
 
 
 def test_frame_components_at_identity_are_coordinates():

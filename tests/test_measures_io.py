@@ -1,4 +1,4 @@
-"""Measure file format, CSV writers, samplers, histogram densities."""
+"""Measure file format, CSV writers and samplers."""
 
 import math
 
@@ -10,7 +10,6 @@ from sublorentz.errors import GenerationFailure, ParseError, WeightError
 from sublorentz.heisenberg import GroupPoint
 from sublorentz.measures_io import (
     HEADER,
-    histogram_density,
     load_measure,
     sample_chronological_pair,
     sample_diamond,
@@ -152,27 +151,3 @@ def test_sample_chronological_pair_rectangle():
     for a in mu.atoms:
         for b in nu.atoms:
             assert classify(a, b) is CausalRelation.CHRONOLOGICAL
-
-
-def test_histogram_density_uniform_box():
-    box = ((0.0, 2.0), (0.0, 1.0), (0.0, 1.0))
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(0, 1, size=(20000, 3))
-    pts[:, 0] *= 2.0
-    dens = histogram_density(pts, box, bins=4)
-    # the box has volume 2, so a uniform cloud has density ~ 1/2
-    probes = rng.uniform(0.05, 0.95, size=(50, 3))
-    probes[:, 0] *= 2.0
-    vals = [dens(GroupPoint(*p)) for p in probes]
-    assert np.mean(vals) == pytest.approx(0.5, rel=0.05)
-    assert dens(GroupPoint(5.0, 0.5, 0.5)) == 0.0
-
-
-def test_histogram_density_concentrates_mass():
-    box = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
-    dens = histogram_density([(0.75, 0.75, 0.75)], box, bins=2)
-    # all mass in one of eight cells of volume 1/8
-    assert dens(GroupPoint(0.6, 0.6, 0.6)) == pytest.approx(8.0)
-    assert dens(GroupPoint(0.2, 0.2, 0.2)) == 0.0
-    with pytest.raises(ValueError):
-        histogram_density([(0.5, 0.5, 0.5)], box, bins=1)

@@ -1,4 +1,4 @@
-"""Planar transport, the Heisenberg lift, and the right-translation test."""
+"""Planar transport, horizontal lifts, and the right-translation test."""
 
 import math
 
@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from sublorentz.causality import PlanarPoint, minkowski_tau, tau
-from sublorentz.errors import NoCausalCoupling, ProjectionMismatch
-from sublorentz.heisenberg import IDENTITY, GroupPoint
+from sublorentz.errors import NoCausalCoupling
+from sublorentz.heisenberg import IDENTITY, GroupPoint, mul
 from sublorentz.minkowski import (
-    PlanarMapSample,
-    lift_map,
     planar_cost_matrix,
     project_measure,
     right_translation_verdict,
@@ -81,40 +79,19 @@ def test_lifted_value_matches_native_lp():
         assert sol.value == pytest.approx(native.value, abs=1e-9)
 
 
-def test_lift_fixture():
-    # lifting the planar shift (0,2) -> (1,2) over the atom (0,2,5)
-    sample = PlanarMapSample(PlanarPoint(0.0, 2.0), PlanarPoint(1.0, 2.0))
-    mu0 = DiscreteMeasure((GroupPoint(0.0, 2.0, 5.0),), np.array([1.0]))
-    [lifted] = lift_map([sample], mu0)
-    assert lifted.image == GroupPoint(1.0, 2.0, 4.0)
-    assert lifted.covector.hX == -1.0
-    assert lifted.covector.hY == 0.0
-    assert lifted.covector.hZ == 0.0
-
-
 def test_lift_preserves_time_separation():
+    # the horizontal lift of the planar step (x, y) -> (x + dx, y + dy) over
+    # (x, y, z) is the right translate by (dx, dy, 0)
     rng = np.random.default_rng(9)
     for _ in range(30):
         x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
         z = rng.uniform(-0.5, 0.5)
         dx = rng.uniform(0.3, 2.0)
         dy = rng.uniform(-1, 1) * dx * 0.9
-        sample = PlanarMapSample(PlanarPoint(x, y), PlanarPoint(x + dx, y + dy))
-        mu0 = DiscreteMeasure((GroupPoint(x, y, z),), np.array([1.0]))
-        [lifted] = lift_map([sample], mu0)
-        want = minkowski_tau(sample.source, sample.image)
-        got = tau(lifted.source, lifted.image)
-        assert got == pytest.approx(want, abs=1e-12)
-        assert lifted.T_arclength == pytest.approx(want, abs=1e-12)
-        # the image sits directly over the planar target
-        assert (lifted.image.x, lifted.image.y) == (x + dx, y + dy)
-
-
-def test_lift_rejects_mismatched_projection():
-    sample = PlanarMapSample(PlanarPoint(0.0, 0.0), PlanarPoint(1.0, 0.0))
-    mu0 = DiscreteMeasure((GroupPoint(0.5, 0.0, 0.0),), np.array([1.0]))
-    with pytest.raises(ProjectionMismatch):
-        lift_map([sample], mu0)
+        source = GroupPoint(x, y, z)
+        image = mul(source, GroupPoint(dx, dy, 0.0))
+        want = minkowski_tau(PlanarPoint(x, y), PlanarPoint(image.x, image.y))
+        assert tau(source, image) == pytest.approx(want, abs=1e-12)
 
 
 def test_right_translation_planar_is_optimal():
