@@ -80,7 +80,8 @@ def flow(q0: GroupPoint, cov0: FrameCovector, t: float) -> HamiltonianState:
     Exact closed form, no stepping.  Satisfies the scaling identities
     flow(q, a*cov, t).point == flow(q, cov, a*t).point and exact conservation
     of hZ and of the energy up to roundoff.  Raises OutOfDomain when
-    |hZ t| is past what cosh can represent (about 710).
+    |hZ t| is past what cosh can represent (about 710), or when any output
+    coordinate is not a finite float.
     """
     u0, v0, w0 = cov0
     s = w0 * t
@@ -92,8 +93,12 @@ def flow(q0: GroupPoint, cov0: FrameCovector, t: float) -> HamiltonianState:
     x = t * (v0 * _f2(s) - u0 * _f1(s))
     y = t * (v0 * _f1(s) - u0 * _f2(s))
     z = 0.5 * (u0 * u0 - v0 * v0) * w0 * t * t * t * _f3(s)
+    q = mul(q0, GroupPoint(x, y, z))
     cov = FrameCovector(u0 * ch - v0 * sh, v0 * ch - u0 * sh, w0)
-    return HamiltonianState(mul(q0, GroupPoint(x, y, z)), cov)
+    # one cheap test: x*0 is 0 for every finite x and nan for inf and nan
+    if q.x * 0.0 + q.y * 0.0 + q.z * 0.0 + cov.hX * 0.0 + cov.hY * 0.0 + w0 * 0.0 != 0.0:
+        raise OutOfDomain(f"flow from {q0!r} with {cov0!r} for t = {t!r} is not finite")
+    return HamiltonianState(q, cov)
 
 
 def exp_map(q0: GroupPoint, cov0: FrameCovector) -> GroupPoint:

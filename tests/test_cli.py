@@ -111,11 +111,14 @@ def test_unread_flag_exits_2_and_writes_nothing(argv, fixture_files, tmp_path, m
 
 
 def test_geodesic_past_cosh_range_exits_4_without_traceback(capsys):
-    assert main(["geodesic", "--cov", "-1,0,800", "--t", "1", "--n", "3"]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: OutOfDomain:")
-    assert "Traceback" not in captured.err
+    # the second covector keeps |hZ t| small, but hX^2 overflows: z would
+    # print inf, and nan at t = 0
+    for cov in ("-1,0,800", "-1e200,0,1"):
+        assert main(["geodesic", f"--cov={cov}", "--t", "1", "--n", "3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: OutOfDomain:")
+        assert "Traceback" not in captured.err
 
 
 def test_negative_triples_parse():
@@ -271,3 +274,11 @@ def test_verify_runs_all_suites(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") >= 13  # 12 suites plus the overall line
     assert "overall PASS" in out
+    # frozen RK4 margin of the default seed 0
+    assert "PASS  flow-vs-ode                 sup deviation 2.376e-14 over 60 flows\n" in out
+
+
+def test_verify_seed_3_flow_margin(capsys):
+    assert main(["verify", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS  flow-vs-ode                 sup deviation 6.121e-14 over 60 flows\n" in out
