@@ -147,18 +147,17 @@ def potential_gradient(pot: SemiDiscretePotential, q: GroupPoint, method: str = 
 
 @dataclass(frozen=True)
 class MapSample:
-    """One atom's ride: source, image, exponential covector, arc time.
+    """One atom's ride: source, image and exponential covector.
 
     covector is the frame covector xi at source with image = exp_source(xi);
-    scaling it by t in [0, 1] sweeps the displacement interpolation.
-    T_arclength is the time separation from source to image, so
-    tau(interp(s), interp(t)) = (t - s) * T_arclength along the ride.
+    scaling it by t in [0, 1] sweeps the displacement interpolation.  The
+    time separation from source to image is sqrt(2 energy(xi)), so
+    tau(interp(s), interp(t)) = (t - s) * sqrt(2 energy(xi)) along the ride.
     """
 
     source: GroupPoint
     image: GroupPoint
     covector: FrameCovector
-    T_arclength: float
 
 
 def _map_step(q: GroupPoint, grad: FrameCovector, params: CostParams, sign: int) -> MapSample:
@@ -168,10 +167,9 @@ def _map_step(q: GroupPoint, grad: FrameCovector, params: CostParams, sign: int)
     if not (e > 0.0 and grad.hX > abs(grad.hY)):
         what = "reverse gradient" if sign > 0 else "gradient"
         raise NotTimelikeGradient(f"{what} {grad!r} is not past-directed timelike")
-    speed = math.sqrt(2.0 * e)
-    scale = speed ** ((params.p - 2.0) / (params.p - 1.0))
+    scale = math.sqrt(2.0 * e) ** ((params.p - 2.0) / (params.p - 1.0))
     xi = FrameCovector(sign * grad.hX / scale, sign * grad.hY / scale, sign * grad.hZ / scale)
-    return MapSample(q, exp_map(q, xi), xi, speed ** (1.0 / (params.p - 1.0)))
+    return MapSample(q, exp_map(q, xi), xi)
 
 
 def brenier_map(q: GroupPoint, grad: FrameCovector, params: CostParams) -> MapSample:
@@ -184,7 +182,9 @@ def brenier_map(q: GroupPoint, grad: FrameCovector, params: CostParams) -> MapSa
 
 
 def interpolate(sample: MapSample, t: float) -> GroupPoint:
-    """Displacement interpolation: the point a fraction t along the ride."""
+    """Displacement interpolation: exp_source(t xi), the point a fraction t
+    along the ride with covector xi.  For s <= t,
+    tau(interpolate(sample, s), interpolate(sample, t)) = (t - s) sqrt(2 energy(xi))."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
     xi = sample.covector
@@ -271,7 +271,6 @@ class MongeAmpereReport:
 
     points: tuple  # (source, image, det, residual)
     max_residual: float
-    min_det: float
 
 
 def monge_ampere_residual(grad_fn, sources, t: float, rho0, rhot, params: CostParams) -> MongeAmpereReport:
@@ -290,7 +289,6 @@ def monge_ampere_residual(grad_fn, sources, t: float, rho0, rhot, params: CostPa
 
     rows = []
     max_res = 0.0
-    min_det = math.inf
     for q in sources:
         q = GroupPoint(*q)
         image = map_t(q)
@@ -300,5 +298,4 @@ def monge_ampere_residual(grad_fn, sources, t: float, rho0, rhot, params: CostPa
         residual = abs(rho0(q) - rhot(image) * det)
         rows.append((q, image, det, residual))
         max_res = max(max_res, residual)
-        min_det = min(min_det, det)
-    return MongeAmpereReport(tuple(rows), max_res, min_det)
+    return MongeAmpereReport(tuple(rows), max_res)

@@ -118,24 +118,28 @@ def classify_array(a, b):
 _ALPHA_SERIES_CUT = 1e-3
 
 
+def _alpha_pair(t: float):
+    """(alpha(t), alpha'(t)) for a float t, sharing one sinh(t)."""
+    if abs(t) < _ALPHA_SERIES_CUT:
+        t2 = t * t
+        a = t * (1.0 / 6.0 + t2 * (-1.0 / 45.0 + t2 / 315.0))
+        return a, 1.0 / 6.0 + t2 * (-1.0 / 15.0 + t2 / 63.0)
+    sh = math.sinh(t)
+    a = (math.sinh(2.0 * t) - 2.0 * t) / (8.0 * sh * sh)
+    return a, 0.5 - 2.0 * a * (math.cosh(t) / sh)
+
+
 def alpha(t: float) -> float:
     """(sinh(2t) - 2t) / (8 sinh(t)^2), extended by alpha(0) = 0.
 
     Odd and strictly increasing with range (-1/4, 1/4).
     """
-    if abs(t) < _ALPHA_SERIES_CUT:
-        t2 = t * t
-        return t * (1.0 / 6.0 + t2 * (-1.0 / 45.0 + t2 / 315.0))
-    sh = math.sinh(t)
-    return (math.sinh(2.0 * t) - 2.0 * t) / (8.0 * sh * sh)
+    return _alpha_pair(t)[0]
 
 
 def alpha_prime(t: float) -> float:
     """Derivative of alpha; equals 1/2 - 2 alpha(t) coth(t) away from 0."""
-    if abs(t) < _ALPHA_SERIES_CUT:
-        t2 = t * t
-        return 1.0 / 6.0 + t2 * (-1.0 / 15.0 + t2 / 63.0)
-    return 0.5 - 2.0 * alpha(t) * (math.cosh(t) / math.sinh(t))
+    return _alpha_pair(t)[1]
 
 
 _BETA_TOL = 1e-13
@@ -166,14 +170,14 @@ def beta(zeta: float) -> float:
 
     b = min(8.0 * target, hi)
     for _ in range(_BETA_MAX_ITER):
-        f = alpha(b) - target
+        a, df = _alpha_pair(b)
+        f = a - target
         if abs(f) <= _BETA_TOL:
             break
         if f > 0.0:
             hi = b
         else:
             lo = b
-        df = alpha_prime(b)
         nb = b - f / df if df > 0.0 else lo
         b = nb if lo < nb < hi else 0.5 * (lo + hi)
         if hi - lo <= 1e-16 * max(1.0, hi):

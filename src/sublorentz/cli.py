@@ -21,6 +21,7 @@ error, 3 I/O error, 4 causally infeasible input.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -67,9 +68,12 @@ def _triple(text: str):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected three comma-separated numbers, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a numeric triple: {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"not a finite triple: {text!r}")
+    return values
 
 
 def _checked(convert, ok, what: str):
@@ -95,6 +99,7 @@ def _float_list(text: str):
 _cost_exponent = _checked(float, lambda p: 0.0 < p < 1.0, "in (0, 1)")
 _unit_times = _checked(_float_list, lambda ts: all(0.0 <= t <= 1.0 for t in ts), "a list of times in [0, 1]")
 _digits = _checked(int, lambda d: d >= 1, "at least 1")
+_seed = _checked(int, lambda s: s >= 0, "a non-negative integer")
 _samples = _checked(int, lambda n: n >= 2, "at least 2")
 _duration = _checked(float, lambda t: t >= 0.0, "a duration >= 0")
 _future_covector = _checked(
@@ -124,7 +129,7 @@ class _Parser(argparse.ArgumentParser):
 # The flags several subcommands share; each subcommand adds the ones it reads.
 _FLAGS = {
     "--p": dict(type=_cost_exponent, default=0.5, help="cost exponent in (0,1)"),
-    "--seed": dict(type=int, default=0, help="seed for any randomized step"),
+    "--seed": dict(type=_seed, default=0, help="seed for any randomized step"),
     "--tol": dict(type=float, default=1e-8, help="optimality gap tolerance"),
     "--out": dict(default=None, help="output path or prefix"),
     "--svg": dict(default=None, help="write an SVG plot to this path"),

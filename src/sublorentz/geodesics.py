@@ -151,12 +151,3 @@ def geodesic_trace(arc: GeodesicArc, n_samples: int):
     h = arc.duration / (n_samples - 1)
     return [(k * h, arc.point(k * h)) for k in range(n_samples)]
 
-
-__all__ = [
-    "HamiltonianState",
-    "GeodesicArc",
-    "flow",
-    "exp_map",
-    "log_map",
-    "geodesic_trace",
-]

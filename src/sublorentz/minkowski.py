@@ -28,8 +28,6 @@ from .transport import (
     CostMatrix,
     CostParams,
     DiscreteMeasure,
-    DualPotentials,
-    TransportPlan,
     solve_cost_matrix,
     solve_kantorovich,
 )
@@ -53,33 +51,20 @@ def planar_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostPar
             if dx >= abs(dy):
                 feasible[i, j] = True
                 values[i, j] = params.gain(minkowski_tau(a, b))
-    return CostMatrix(values, feasible, params)
+    return CostMatrix(values, feasible)
 
 
-@dataclass(frozen=True)
-class MinkowskiSolution:
-    plan: TransportPlan
-    duals: DualPotentials
-    cost: CostMatrix
-
-    @property
-    def value(self) -> float:
-        return self.plan.value
-
-
-def solve_minkowski(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams) -> MinkowskiSolution:
+def solve_minkowski(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams):
     """Maximize total gain of causal couplings between the planar projections
-    of two measures (z is ignored)."""
-    cost = planar_cost_matrix(mu, nu, params)
-    plan, duals = solve_cost_matrix(cost, mu.weights, nu.weights)
-    return MinkowskiSolution(plan, duals, cost)
+    of two measures (z is ignored).  Returns (TransportPlan, DualPotentials),
+    as solve_kantorovich does."""
+    return solve_cost_matrix(planar_cost_matrix(mu, nu, params), mu.weights, nu.weights)
 
 
 @dataclass(frozen=True)
 class RightTranslationVerdict:
     """Outcome of testing q -> q * q0 for transport optimality."""
 
-    q0: GroupPoint
     optimal: bool
     predicate: bool
     map_value: float
@@ -121,7 +106,6 @@ def right_translation_verdict(
     gap = plan.value - map_value
     predicate = q0.z == 0.0 and q0.x > abs(q0.y)
     return RightTranslationVerdict(
-        q0=q0,
         optimal=gap <= gap_tol,
         predicate=predicate,
         map_value=map_value,

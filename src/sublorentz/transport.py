@@ -84,7 +84,6 @@ class CostMatrix:
 
     values: np.ndarray
     feasible: np.ndarray
-    params: CostParams
 
 
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams) -> CostMatrix:
@@ -92,7 +91,7 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams) ->
     x = np.array(mu.atoms, dtype=float)
     y = np.array(nu.atoms, dtype=float)
     t, feasible = tau_array(x[:, None, :], y[None, :, :])
-    return CostMatrix(params.gain(t), feasible, params)
+    return CostMatrix(params.gain(t), feasible)
 
 
 @dataclass(frozen=True)
@@ -247,15 +246,12 @@ class MonotonicityReport:
     reassigned gains beat the original ones, which contradicts optimality.
     Reassignments that route mass through a causally unrelated pair are not
     admissible couplings at all, so such cycles can never witness a
-    violation; advisory is True when the support rectangle contains
-    unrelated pairs and some cycles were vacuous for that reason.
+    violation.
     """
 
     worst_violation: float
-    worst_cycle: tuple = ()
-    cycles_checked: int = 0
-    exhaustive: bool = True
-    advisory: bool = False
+    cycles_checked: int
+    exhaustive: bool
 
 
 def check_cyclical_monotonicity(
@@ -271,14 +267,9 @@ def check_cyclical_monotonicity(
     repeated runs agree.
     """
     support = plan.support()
-    rows = sorted({i for i, _ in support})
-    cols = sorted({j for _, j in support})
-    advisory = not all(cost.feasible[i, j] for i in rows for j in cols)
-
     vals = cost.values
     feas = cost.feasible
     worst = 0.0
-    worst_cycle = ()
     checked = 0
 
     def violation(order):
@@ -301,21 +292,17 @@ def check_cyclical_monotonicity(
             for combo in itertools.combinations(indices, k):
                 first = combo[0]
                 for rest in itertools.permutations(combo[1:]):
-                    order = (first,) + rest
                     checked += 1
-                    v = violation(order)
+                    v = violation((first,) + rest)
                     if v > worst:
                         worst = v
-                        worst_cycle = tuple(support[s] for s in order)
     else:
         rng = np.random.default_rng(seed)
         for k in range(2, min(max_cycle, len(support)) + 1):
             for _ in range(2000):
-                order = tuple(rng.choice(len(support), size=k, replace=False))
                 checked += 1
-                v = violation(order)
+                v = violation(tuple(rng.choice(len(support), size=k, replace=False)))
                 if v > worst:
                     worst = v
-                    worst_cycle = tuple(support[s] for s in order)
 
-    return MonotonicityReport(worst, worst_cycle, checked, exhaustive, advisory)
+    return MonotonicityReport(worst, checked, exhaustive)

@@ -1,5 +1,5 @@
 """The public names and the functions the benchmark tracer wraps exist, and
-every public function or class has a reader."""
+every public function, class and result field has a reader."""
 
 import ast
 import importlib
@@ -45,21 +45,70 @@ def _read_names(path):
     return names
 
 
+def _read_attributes(path):
+    """Every name the file reads as an attribute, obj.name."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "sublorentz").glob("*.py") if p.name != "__init__.py")
+
+
+def _readers(read):
+    """Per module, what read() finds in src/, bench/ and every test file
+    except the module's own tests/test_<module>.py."""
+    shared = set().union(*(read(p) for p in MODULES + sorted((ROOT / "bench").glob("*.py"))))
+    tests = {p.name: read(p) for p in (ROOT / "tests").glob("test_*.py")}
+    return {
+        path: shared.union(*(names for file, names in tests.items() if file != f"test_{path.stem}.py"))
+        for path in MODULES
+    }
+
+
 def test_every_public_name_has_a_reader():
     # A public top-level function or class must be read somewhere other than
     # its definition, the package __init__ and its own tests/test_<module>.py.
-    root = Path(__file__).resolve().parents[1]
-    package = root / "src" / "sublorentz"
-    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
-    shared = set().union(*(_read_names(p) for p in modules + sorted((root / "bench").glob("*.py"))))
-    tests = {p.name: _read_names(p) for p in (root / "tests").glob("test_*.py")}
-    readme = (root / "README.md").read_text()
+    readers = _readers(_read_names)
+    readme = (ROOT / "README.md").read_text()
     unread = []
-    for path in modules:
-        readers = shared.union(*(names for file, names in tests.items() if file != f"test_{path.stem}.py"))
+    for path in MODULES:
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            if node.name not in readers and not re.search(rf"\b{node.name}\b", readme):
+            if node.name not in readers[path] and not re.search(rf"\b{node.name}\b", readme):
                 unread.append(f"{path.stem}.{node.name}")
+    assert unread == [], "read by nothing: " + ", ".join(unread)
+
+
+def _fields(cls):
+    """The annotated fields and the properties of a class definition."""
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+        elif isinstance(node, ast.FunctionDef) and any(
+            getattr(d, "id", None) == "property" for d in node.decorator_list
+        ):
+            yield node.name
+
+
+def test_every_field_has_a_reader():
+    # An annotated field or property of a public class must be read as an
+    # attribute somewhere in src/, bench/ or a test file other than its
+    # class's own tests/test_<module>.py.  README prose does not count.  The
+    # match is by name, so a field whose name another attribute shares
+    # (.params, .q0, .cost) passes whether or not anything reads it; such
+    # fields have to be checked by hand.
+    readers = _readers(_read_attributes)
+    unread = [
+        f"{path.stem}.{cls.name}.{field}"
+        for path in MODULES
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for field in _fields(cls)
+        if not field.startswith("_") and field not in readers[path]
+    ]
     assert unread == [], "read by nothing: " + ", ".join(unread)

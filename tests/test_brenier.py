@@ -87,7 +87,7 @@ def test_brenier_map_reconstructs_geodesic_endpoint():
     grad = FrameCovector(-s * lam.hX, -s * lam.hY, -s * lam.hZ)
     sample = brenier_map(IDENTITY, grad, P)
     assert sup_distance(sample.image, y) <= 1e-12
-    assert sample.T_arclength == pytest.approx(t_sep, rel=1e-12)
+    assert math.sqrt(2.0 * energy(sample.covector)) == pytest.approx(t_sep, rel=1e-12)
     assert abs(sample.covector.hX - lam.hX) <= 1e-12
 
 
@@ -188,7 +188,7 @@ def test_interpolation_runs_at_constant_speed():
     y = GroupPoint(2.5, 0.4, 0.3)
     lam = log_map(IDENTITY, y)
     t_sep = math.sqrt(2.0 * energy(lam))
-    sample = MapSample(IDENTITY, y, lam, t_sep)
+    sample = MapSample(IDENTITY, y, lam)
     assert sup_distance(interpolate(sample, 0.0), IDENTITY) == 0.0
     assert sup_distance(interpolate(sample, 1.0), y) <= 1e-14
     for s, t in ((0.0, 0.5), (0.25, 0.75), (0.3, 1.0)):
@@ -228,8 +228,6 @@ def test_monge_ampere_translation_preserves_gaussian():
     rng = np.random.default_rng(5)
     sources = [GroupPoint(*rng.uniform(-0.4, 0.4, size=3)) for _ in range(8)]
     report = monge_ampere_residual(grad_fn, sources, t, rho0, rhot, P)
-    assert report.min_det > 0.0
-    assert abs(report.min_det - 1.0) <= 1e-6
     assert report.max_residual <= 1e-6
     for src, img, det, res in report.points:
         assert det == pytest.approx(1.0, abs=1e-6)

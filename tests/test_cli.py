@@ -110,6 +110,36 @@ def test_unread_flag_exits_2_and_writes_nothing(argv, fixture_files, tmp_path, m
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mu.txt", "nu.txt"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--seed", "-1"],
+        ["solve", "--mu", "mu.txt", "--nu", "nu.txt", "--seed", "-1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_exits_2(argv, fixture_files, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _argparse_exit_code(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau", "--from=nan,0,0", "--to", "2,0,0"],
+        ["tau", "--from", "0,0,0", "--to=inf,0,0"],
+        ["logmap", "--from", "0,0,0", "--to=2,-inf,0"],
+        ["geodesic", "--from=0,nan,0", "--cov", "-1,0,1"],
+        ["geodesic", "--cov=-1,0,nan"],
+        ["right-translation", "--mu", "mu.txt", "--q0=inf,0,0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_finite_triple_exits_2(argv, fixture_files, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _argparse_exit_code(argv) == 2
+
+
 def test_geodesic_past_cosh_range_exits_4_without_traceback(capsys):
     # the second covector keeps |hZ t| small, but hX^2 overflows: z would
     # print inf, and nan at t = 0

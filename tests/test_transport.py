@@ -196,7 +196,6 @@ def test_monotonicity_ignores_infeasible_reassignments():
     assert plan.value == pytest.approx(0.0, abs=1e-12)
     report = check_cyclical_monotonicity(plan, cm)
     assert report.worst_violation <= 0.0
-    assert report.advisory
 
 
 def test_zero_weight_atoms_do_not_disturb_value():
