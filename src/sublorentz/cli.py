@@ -269,8 +269,8 @@ def cmd_brenier(args) -> int:
         print(f"skipped {idx} {reason}")
     prefix = args.out or "brenier"
     w = np.array([mu.weights[i] for i in result.mapped], dtype=float)
-    if w.size == 0:
-        raise NoCausalCoupling("no atom admitted a transport map sample")
+    if not w.sum() > 0.0:
+        raise NoCausalCoupling("no atom of positive weight admitted a transport map sample")
     w = w / w.sum()
     mapped_path = f"{prefix}_mapped.txt"
     images = DiscreteMeasure([s.image for s in result.samples], w)

@@ -74,7 +74,8 @@ def load_measure(path) -> DiscreteMeasure:
     if w.size and np.any(w < 0.0):
         bad = int(np.argmax(w < 0.0))
         raise WeightError(f"atom {bad}: negative weight {w[bad]!r}")
-    total = float(w.sum())
+    with np.errstate(over="ignore"):  # an overflowing sum is reported below as inf
+        total = float(w.sum())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
     return DiscreteMeasure(tuple(atoms), w / total)

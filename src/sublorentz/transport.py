@@ -264,45 +264,44 @@ def check_cyclical_monotonicity(
 
     Exhaustive over all cycles up to max_cycle when the support has at most
     12 pairs; otherwise a seeded random search of 2000 cycles per length, so
-    repeated runs agree.
+    repeated runs agree.  A cycle of support pairs s_t = (i_t, j_t) gains
+    sum_t values[i_{t+1}, j_t] - values[i_t, j_t], or -inf if it reassigns
+    mass through a causally unrelated pair.
+
+    Cost: the exhaustive branch scores all cycles of one vertex order as one
+    array operation, (k-1)! orders per length k (153 up to 6-cycles).  In the
+    sampled branch the 2000 rng.choice draws per length dominate.
     """
-    support = plan.support()
-    vals = cost.values
-    feas = cost.feasible
+    rows, cols = np.array(plan.support(), dtype=np.intp).reshape(-1, 2).T
+    base = cost.values[rows, cols]
+    # moved[s, s'] is the gain when the source of pair s' takes the target of s
+    moved = cost.values[rows[None, :], cols[:, None]]
+    ok = cost.feasible[rows[None, :], cols[:, None]]
     worst = 0.0
     checked = 0
 
-    def violation(order):
-        base = 0.0
-        moved = 0.0
-        k = len(order)
-        for t in range(k):
-            i_cur, j_cur = support[order[t]]
-            i_next = support[order[(t + 1) % k]][0]
-            if not feas[i_next, j_cur]:
-                return -math.inf
-            base += vals[i_cur, j_cur]
-            moved += vals[i_next, j_cur]
-        return moved - base
+    def score(cycles):
+        # gains are added in cycle order, t = 0..k-1, so each sum is rounded
+        # exactly as a per-cycle loop rounds it
+        nonlocal worst, checked
+        b, m = np.zeros((2, len(cycles)))
+        admissible = np.ones(len(cycles), dtype=bool)
+        for cur, nxt in zip(cycles.T, np.roll(cycles, -1, axis=1).T):
+            b += base[cur]
+            m += moved[cur, nxt]
+            admissible &= ok[cur, nxt]
+        checked += len(cycles)
+        worst = max(worst, float(np.where(admissible, m - b, -math.inf).max()))
 
-    exhaustive = len(support) <= 12
-    if exhaustive:
-        indices = range(len(support))
-        for k in range(2, max_cycle + 1):
-            for combo in itertools.combinations(indices, k):
-                first = combo[0]
-                for rest in itertools.permutations(combo[1:]):
-                    checked += 1
-                    v = violation((first,) + rest)
-                    if v > worst:
-                        worst = v
-    else:
-        rng = np.random.default_rng(seed)
-        for k in range(2, min(max_cycle, len(support)) + 1):
-            for _ in range(2000):
-                checked += 1
-                v = violation(tuple(rng.choice(len(support), size=k, replace=False)))
-                if v > worst:
-                    worst = v
+    n = len(rows)
+    exhaustive = n <= 12
+    rng = np.random.default_rng(seed)
+    for k in range(2, min(max_cycle, n) + 1):
+        if exhaustive:
+            combos = np.array(list(itertools.combinations(range(n), k)))
+            for rest in itertools.permutations(range(1, k)):
+                score(combos[:, (0,) + rest])
+        else:
+            score(np.array([rng.choice(n, size=k, replace=False) for _ in range(2000)]))
 
     return MonotonicityReport(worst, checked, exhaustive)

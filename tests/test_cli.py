@@ -2,11 +2,15 @@
 
 import argparse
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from sublorentz.cli import build_parser, main
-from sublorentz.measures_io import HEADER, load_measure
+from sublorentz.heisenberg import GroupPoint, mul
+from sublorentz.measures_io import HEADER, load_measure, sample_chronological_pair, save_measure
+from sublorentz.transport import DiscreteMeasure
 
 
 @pytest.fixture
@@ -210,6 +214,37 @@ def test_solve_fixture(fixture_files, tmp_path, capsys):
     assert cost_total == pytest.approx(3.087533615441246, abs=1e-9)
 
 
+def _monotonicity_lines(mu, nu, tmp_path, capsys):
+    save_measure(mu, tmp_path / "mu.txt")
+    save_measure(nu, tmp_path / "nu.txt")
+    argv = ["solve", "--mu", str(tmp_path / "mu.txt"), "--nu", str(tmp_path / "nu.txt"), "--digits", "17"]
+    assert main(argv) == 0
+    return [line for line in capsys.readouterr().out.splitlines() if line.startswith("monotonicity_")]
+
+
+def test_solve_monotonicity_lines_exhaustive_on_12_pairs(tmp_path, capsys):
+    # a translated cluster: the optimal plan is a permutation with 12 pairs
+    rng = np.random.default_rng(12)
+    atoms = [GroupPoint(*a) for a in rng.uniform([-0.7, -0.7, -0.25], [0.7, 0.7, 0.25], size=(12, 3))]
+    q0 = GroupPoint(1.6, 0.1, 0.0)
+    w = np.full(12, 1.0 / 12)
+    mu, nu = DiscreteMeasure(atoms, w), DiscreteMeasure([mul(a, q0) for a in atoms], w)
+    assert _monotonicity_lines(mu, nu, tmp_path, capsys) == [
+        "monotonicity_worst_violation 0",
+        "monotonicity_cycles_checked 133364",
+        "monotonicity_exhaustive True",
+    ]
+
+
+def test_solve_monotonicity_lines_sampled_beyond_12_pairs(tmp_path, capsys):
+    mu, nu = sample_chronological_pair(8, 8, seed=5, weights="random")
+    assert _monotonicity_lines(mu, nu, tmp_path, capsys) == [
+        "monotonicity_worst_violation 3.5527136788005009e-15",
+        "monotonicity_cycles_checked 10000",
+        "monotonicity_exhaustive False",
+    ]
+
+
 def test_solve_infeasible_exits_4(tmp_path, fixture_files, capsys):
     mu, _ = fixture_files
     nu_bad = tmp_path / "space.txt"
@@ -255,6 +290,22 @@ def test_brenier_fixture_maps_to_targets(fixture_files, tmp_path, capsys):
     assert start.atoms[1].x == pytest.approx(0.2, abs=1e-12)
     mid = load_measure(f"{prefix}_t0.5.txt")
     assert 0.0 < mid.atoms[0].x < 2.0
+
+
+def test_brenier_with_only_weightless_atoms_mapped_exits_4(tmp_path, capsys):
+    mu = tmp_path / "mu.txt"
+    nu = tmp_path / "nu.txt"
+    mu.write_text(f"{HEADER}\natom 0 0 0 0\natom 0.1 0 0 1\n")
+    nu.write_text(f"{HEADER}\natom 2 0 0 0.5\natom 3 0 0 0.5\n")
+    prefix = tmp_path / "bren"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["brenier", "--mu", str(mu), "--nu", str(nu), "--out", str(prefix)])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert "mapped 1 of 2 atoms" in captured.out
+    assert "NoCausalCoupling" in captured.err
+    assert not (tmp_path / "bren_mapped.txt").exists()
 
 
 def test_interpolate_quarter_point(fixture_files, tmp_path):

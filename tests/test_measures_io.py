@@ -1,6 +1,7 @@
 """Measure file format, CSV writers and samplers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,15 @@ def test_load_rejects_large_weight_drift(tmp_path):
     path.write_text(f"{HEADER}\natom 0 0 0 0.6\natom 1 0 0 0.5\n")
     with pytest.raises(WeightError):
         load_measure(path)
+
+
+def test_load_rejects_overflowing_weight_sum_without_warning(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(f"{HEADER}\natom 0 0 0 1e308\natom 1 0 0 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WeightError, match="weights sum to inf"):
+            load_measure(path)
 
 
 def test_load_rejects_negative_weight(tmp_path):

@@ -1,5 +1,6 @@
 """Discrete causal transport: LP solve, duals, monotonicity diagnostics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from sublorentz.heisenberg import IDENTITY, GroupPoint
 from sublorentz.measures_io import sample_chronological_pair
 from sublorentz.transport import (
     SUPPORT_TOL,
+    CostMatrix,
     CostParams,
     DiscreteMeasure,
     TransportPlan,
@@ -138,8 +140,6 @@ def test_lp_beats_every_permutation():
     mu, nu = sample_chronological_pair(5, 5, seed=17, weights="uniform")
     plan, _ = solve_kantorovich(mu, nu, P)
     cm = cost_matrix(mu, nu, P)
-    import itertools
-
     for perm in itertools.permutations(range(5)):
         val = sum(cm.values[i, perm[i]] for i in range(5)) / 5.0
         assert plan.value >= val - 1e-10
@@ -196,6 +196,98 @@ def test_monotonicity_ignores_infeasible_reassignments():
     assert plan.value == pytest.approx(0.0, abs=1e-12)
     report = check_cyclical_monotonicity(plan, cm)
     assert report.worst_violation <= 0.0
+
+
+def _per_cycle_audit(plan, cost, max_cycle, seed):
+    """check_cyclical_monotonicity as one Python call per cycle: the oracle
+    that the array audit must match bit for bit."""
+    support = plan.support()
+    vals = cost.values
+    feas = cost.feasible
+    worst = 0.0
+    checked = 0
+
+    def violation(order):
+        base = 0.0
+        moved = 0.0
+        k = len(order)
+        for t in range(k):
+            i_cur, j_cur = support[order[t]]
+            i_next = support[order[(t + 1) % k]][0]
+            if not feas[i_next, j_cur]:
+                return -math.inf
+            base += vals[i_cur, j_cur]
+            moved += vals[i_next, j_cur]
+        return moved - base
+
+    exhaustive = len(support) <= 12
+    if exhaustive:
+        indices = range(len(support))
+        for k in range(2, max_cycle + 1):
+            for combo in itertools.combinations(indices, k):
+                first = combo[0]
+                for rest in itertools.permutations(combo[1:]):
+                    checked += 1
+                    v = violation((first,) + rest)
+                    if v > worst:
+                        worst = v
+    else:
+        rng = np.random.default_rng(seed)
+        for k in range(2, min(max_cycle, len(support)) + 1):
+            for _ in range(2000):
+                checked += 1
+                v = violation(tuple(rng.choice(len(support), size=k, replace=False)))
+                if v > worst:
+                    worst = v
+    return float(worst), checked, exhaustive
+
+
+def _permutation_plan(perm):
+    n = len(perm)
+    masses = np.zeros((n, n))
+    masses[np.arange(n), perm] = 1.0 / n
+    return TransportPlan(masses, 0.0)
+
+
+def _cloud_cost(n, seed):
+    """Two seeded clouds in which about a third of the pairs are unrelated."""
+    rng = np.random.default_rng(seed)
+    w = np.full(n, 1.0 / n)
+    mu = DiscreteMeasure(rng.uniform([-1, -1, -0.5], [1, 1, 0.5], size=(n, 3)), w)
+    nu = DiscreteMeasure(rng.uniform([1, -1, -0.5], [3, 1, 0.5], size=(n, 3)), w)
+    return cost_matrix(mu, nu, P)
+
+
+@pytest.mark.parametrize("max_cycle", [4, 6])
+@pytest.mark.parametrize("n", [1, 3, 12, 13])
+def test_array_audit_matches_per_cycle_loop(n, max_cycle):
+    # n = 12 and 13 sit on either side of the exhaustive/sampled boundary for
+    # permutation plans; n = 1 and 3 have fewer pairs than the longest cycle
+    rng = np.random.default_rng([n, max_cycle])
+    mu, nu = sample_chronological_pair(n, n, seed=n)
+    mu_r, nu_r = sample_chronological_pair(n, n, seed=n, weights="random")
+    chron = cost_matrix(mu, nu, P)
+    cloud = _cloud_cost(n, seed=n)
+    # every reassignment of the identity plan is causally unrelated
+    stranded = CostMatrix(rng.random((n, n)), np.eye(n, dtype=bool))
+    optimal = solve_kantorovich(mu, nu, P)[0]
+    cases = [
+        ("uniform optimal", optimal, chron),
+        ("random-weight optimal", solve_kantorovich(mu_r, nu_r, P)[0], cost_matrix(mu_r, nu_r, P)),
+        ("permuted", _permutation_plan(np.roll(optimal.masses.argmax(axis=1), 1)), chron),
+        ("permuted, partly unrelated", _permutation_plan(rng.permutation(n)), cloud),
+        ("all reassignments unrelated", _permutation_plan(np.arange(n)), stranded),
+    ]
+    for name, plan, cm in cases:
+        want = _per_cycle_audit(plan, cm, max_cycle, seed=n)
+        report = check_cyclical_monotonicity(plan, cm, max_cycle=max_cycle, seed=n)
+        assert type(report.worst_violation) is float, name
+        got = (repr(report.worst_violation), report.cycles_checked, report.exhaustive)
+        assert got == (repr(want[0]), want[1], want[2]), name
+        if name == "all reassignments unrelated":
+            assert report.worst_violation == 0.0 and report.exhaustive == (n <= 12)
+        if name == "permuted" and n >= 3:
+            assert report.worst_violation > 0.0
 
 
 def test_zero_weight_atoms_do_not_disturb_value():
