@@ -35,7 +35,6 @@ from .brenier import (
 from .causality import classify, tau
 from .errors import (
     NoCausalCoupling,
-    NotChronological,
     ParseError,
     SubLorentzError,
     WeightError,
@@ -354,9 +353,6 @@ def main(argv=None) -> int:
     except (ParseError, WeightError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (NoCausalCoupling, NotChronological) as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -41,30 +41,21 @@ from .heisenberg import (
     mul,
 )
 
-# Below this |s| the f-helpers switch to 3-term series; the closed forms
+# Below this |s| the f-factors switch to 3-term series; the closed forms
 # cancel catastrophically while the truncation error is ~s^6.
 _SERIES_CUT = 1e-4
 
 
-def _f1(s: float) -> float:
+def _flow_factors(s: float, sh: float, ch: float) -> tuple[float, float, float]:
+    """(f1, f2, f3) at s, given sh = sinh(s) and ch = cosh(s)."""
     if abs(s) < _SERIES_CUT:
         s2 = s * s
-        return 1.0 + s2 / 6.0 + s2 * s2 / 120.0
-    return math.sinh(s) / s
-
-
-def _f2(s: float) -> float:
-    if abs(s) < _SERIES_CUT:
-        s2 = s * s
-        return s * (0.5 + s2 / 24.0 + s2 * s2 / 720.0)
-    return (math.cosh(s) - 1.0) / s
-
-
-def _f3(s: float) -> float:
-    if abs(s) < _SERIES_CUT:
-        s2 = s * s
-        return 1.0 / 6.0 + s2 / 120.0 + s2 * s2 / 5040.0
-    return (math.sinh(s) - s) / (s * s * s)
+        return (
+            1.0 + s2 / 6.0 + s2 * s2 / 120.0,
+            s * (0.5 + s2 / 24.0 + s2 * s2 / 720.0),
+            1.0 / 6.0 + s2 / 120.0 + s2 * s2 / 5040.0,
+        )
+    return sh / s, (ch - 1.0) / s, (sh - s) / (s * s * s)
 
 
 class HamiltonianState(NamedTuple):
@@ -90,9 +81,10 @@ def flow(q0: GroupPoint, cov0: FrameCovector, t: float) -> HamiltonianState:
         sh = math.sinh(s)
     except OverflowError:
         raise OutOfDomain(f"|hZ t| = {abs(s):.6g} overflows cosh") from None
-    x = t * (v0 * _f2(s) - u0 * _f1(s))
-    y = t * (v0 * _f1(s) - u0 * _f2(s))
-    z = 0.5 * (u0 * u0 - v0 * v0) * w0 * t * t * t * _f3(s)
+    f1, f2, f3 = _flow_factors(s, sh, ch)
+    x = t * (v0 * f2 - u0 * f1)
+    y = t * (v0 * f1 - u0 * f2)
+    z = 0.5 * (u0 * u0 - v0 * v0) * w0 * t * t * t * f3
     q = mul(q0, GroupPoint(x, y, z))
     cov = FrameCovector(u0 * ch - v0 * sh, v0 * ch - u0 * sh, w0)
     # one cheap test: x*0 is 0 for every finite x and nan for inf and nan

@@ -33,10 +33,11 @@ Design notes:
   orientation, depth and child lists.  A pivot re-hangs only the subtree
   that the leaving arc cuts off, and shifts depth and potentials only on
   that subtree.
-* Reported dual potentials are rebuilt from the real basic arcs alone:
-  within each connected component of the real basis they are pinned by
-  complementary slackness, and per-component offsets are then raised by a
-  longest-path relaxation until every allowed arc satisfies
+* Reported dual potentials come from the real arcs of the final tree in
+  one walk down it: each subtree hung from the root by an artificial arc
+  is a component, pinned at 0 at its top node, and complementary slackness
+  fixes every node below from its parent.  Per-component offsets are then
+  raised by a longest-path relaxation until every allowed arc satisfies
   psi[j] - phi[i] >= c[i,j].  This keeps artificial M-parts out of the
   reported numbers and the duality gap at roundoff scale.
 
@@ -300,51 +301,35 @@ def solve_max_transport(values, allowed, supplies, demands):
 
     masses = np.zeros((n, m))
     masses[src, dst] = flow[:n_real]
-    basic = [k for k in pred[:root] if k < n_real]
-    phi, psi = _rebuild_duals(c, ok, src[basic], dst[basic])
-    return masses, phi, psi
 
-
-def _rebuild_duals(c, ok, basic_src, basic_dst):
-    """Clean dual potentials from the real arcs of the optimal basis."""
-    n, m = c.shape
-    adj = [[] for _ in range(n + m)]  # sources 0..n-1, sinks n..n+m-1
-    for i, j in zip(basic_src.tolist(), basic_dst.tolist()):
-        adj[i].append(n + j)
-        adj[n + j].append(i)
-
-    comp = [-1] * (n + m)
-    base = [0.0] * (n + m)  # potential before component offsets
-    n_comp = 0
-    for start in range(n + m):
-        if comp[start] >= 0:
-            continue
-        comp[start] = n_comp
-        stack = [start]
+    # Duals in one walk down the tree: a node hung from the root by its
+    # artificial arc starts a component at 0; below it, psi_j = phi_i + c_ij
+    # for a sink under a source and phi_i = psi_j - c_ij for a source under a sink.
+    step = np.append(cost, np.zeros(root))[pred[:root]]  # 0 on artificial arcs: never read
+    step[n:] = -step[n:]
+    step = step.tolist()
+    pot = [0.0] * root
+    comp = [0] * root
+    for label, top in enumerate(children[root]):
+        comp[top] = label
+        stack = [top]
         while stack:
             u = stack.pop()
-            for v in adj[u]:
-                if comp[v] >= 0:
-                    continue
-                comp[v] = n_comp
-                if u < n:  # u source, v sink: psi_v = phi_u + c
-                    base[v] = base[u] + c[u, v - n]
-                else:  # u sink, v source: phi_v = psi_u - c
-                    base[v] = base[u] - c[v, u - n]
-                stack.append(v)
-        n_comp += 1
+            for w in children[u]:
+                pot[w] = pot[u] + step[w]
+                comp[w] = label
+                stack.append(w)
 
     # Component offsets: delta[B] - delta[A] >= c_ij - (psi_j - phi_i) for
     # every allowed cross-component arc.  Converges because an improving
     # cycle would contradict primal optimality.
     comp = np.array(comp)
-    base = np.array(base)
-    src, dst = np.nonzero(ok)
-    ca, cb = comp[src], comp[n + dst]
+    pot = np.array(pot)
+    ca, cb = comp[tails], comp[heads]
     cross = ca != cb
-    gain = c[src, dst] - (base[n + dst] - base[src])
-    delta = longest_path(n_comp, ca[cross], cb[cross], gain[cross])
+    gain = -cost - (pot[heads] - pot[tails])
+    delta = longest_path(len(children[root]), ca[cross], cb[cross], gain[cross])
     if delta is None:
         raise AssertionError("dual offsets failed to stabilize")
-    pot = base + delta[comp]
-    return pot[:n], pot[n:]
+    pot += delta[comp]
+    return masses, pot[:n], pot[n:]

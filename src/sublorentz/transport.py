@@ -66,8 +66,10 @@ class DiscreteMeasure:
             raise WeightError("non-finite weight")
         if np.any(w < 0.0):
             raise WeightError("negative weight")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise WeightError(f"weights sum to {float(w.sum())!r}, expected 1")
+        with np.errstate(over="ignore"):  # an overflowing sum is reported below as inf
+            total = float(w.sum())
+        if abs(total - 1.0) > 1e-12:
+            raise WeightError(f"weights sum to {total!r}, expected 1")
 
     def __len__(self):
         return len(self.atoms)

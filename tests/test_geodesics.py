@@ -22,32 +22,7 @@ from sublorentz.heisenberg import (
     energy,
     sup_distance,
 )
-
-
-def _rk4(covs, ts, steps):
-    """Fixed-step RK4 for the Hamiltonian system from the identity, all flows
-    at once and independent of the closed form: dx = -hX, dy = hY,
-    dz = (hX y + hY x)/2, dhX = -hY hZ, dhY = -hX hZ, hZ constant.  Row k of
-    covs is (hX, hY, hZ), run for time ts[k]; returns the final
-    (x, y, z, hX, hY) rows."""
-    w = covs[:, 2]
-
-    def rhs(s):
-        x, y, z, hx, hy = s.T
-        return np.stack(
-            [-hx, hy, 0.5 * (hx * y + hy * x), -hy * w, -hx * w], axis=1
-        )
-
-    state = np.zeros((len(ts), 5))
-    state[:, 3:] = covs[:, :2]
-    h = (ts / steps)[:, None]
-    for _ in range(steps):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return state
+from sublorentz.verify import _rk4_flows
 
 
 def test_flow_closed_form_example():
@@ -79,7 +54,7 @@ def test_flow_matches_rk4():
     for cov, t in zip(covs, ts):
         point, (hx, hy, _) = flow(IDENTITY, FrameCovector(*cov), t)
         got.append([*point, hx, hy])
-    assert np.abs(np.array(got) - _rk4(covs, ts, 3000)).max() <= 1e-8
+    assert np.abs(np.array(got) - _rk4_flows(covs, ts, 3000)).max() <= 1e-8
 
 
 def test_flow_conserves_energy_and_vertical_momentum():

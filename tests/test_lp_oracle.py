@@ -65,6 +65,7 @@ def check_against_highs(gains, allowed, supplies, demands):
     assert np.all(masses[~allowed] == 0.0)
     slack = psi[None, :] - phi[:, None] - gains
     assert np.all(slack[allowed] >= -TOL)
+    assert np.all(np.abs(slack[masses > 1e-12]) <= TOL)  # tight on the support
     assert abs(value - reference) <= TOL
     assert abs(float(psi @ demands - phi @ supplies) - value) <= TOL
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,10 @@ def test_measure_validation():
         DiscreteMeasure(
             (GroupPoint(0, 0, 0), GroupPoint(1, 0, 0)), np.array([1.5, -0.5])
         )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflowing sum must not warn
+        with pytest.raises(WeightError, match="inf"):
+            DiscreteMeasure([(0, 0, 0), (1, 0, 0)], [1e308, 1e308])
 
 
 def test_cost_matrix_feasibility_mask():
