@@ -20,7 +20,9 @@ Design notes:
   simplex of Bonneel, van de Panne, Paris & Heidrich (2011): reduced costs
   of the allowed arcs are evaluated with numpy in blocks of ceil(sqrt(#arcs))
   arcs, each search resumes where the previous one stopped, and the best arc
-  of the first block holding an eligible arc enters.
+  of the first block holding an eligible arc enters.  Once the M
+  coefficients of all real nodes are equal, every real arc's M part is 0
+  and stays 0, so pricing compares the float parts alone.
 * Anti-cycling uses strongly feasible trees (Cunningham 1976): every tree
   arc carrying zero flow points toward the root.  The initial star is
   strongly feasible because a sink with zero demand gets its artificial arc
@@ -30,7 +32,9 @@ Design notes:
   findLeavingArc), which keeps the tree strongly feasible and the number of
   consecutive degenerate pivots finite.  The solve is deterministic.
 * The tree is stored as each node's parent, the arc to it, that arc's
-  orientation, depth and child lists.  A pivot re-hangs only the subtree
+  orientation, depth and child lists.  A pivot walks its cycle once: the
+  climb to the apex records both tree paths, which the leaving-arc test,
+  the flow update and the re-hang then read.  It re-hangs only the subtree
   that the leaving arc cuts off, and shifts depth and potentials only on
   that subtree.
 * Reported dual potentials come from the real arcs of the final tree in
@@ -42,7 +46,8 @@ Design notes:
   reported numbers and the duality gap at roundoff scale.
 
 A DEBUG record on the "sublorentz" logger reports, per solve, the problem
-size, the pivots, the degenerate pivots (zero step) and the stranded mass.
+size, the pivots, the degenerate pivots (zero step), the pivot after which
+pricing dropped the M part (-1 if it never did) and the stranded mass.
 """
 
 from __future__ import annotations
@@ -132,6 +137,12 @@ def solve_max_transport(values, allowed, supplies, demands):
     satisfying psi[j] - phi[i] >= c[i,j] on allowed arcs, with equality on
     every basic (hence every support) arc.  Raises NoCausalCoupling when the
     allowed-arc structure cannot route the full mass.
+
+    The pivot and relaxation tolerances are absolute.  When the largest
+    allowed |gain| is below 1, the LP is solved with the gains multiplied by
+    the power of two that brings it into [1, 2), and the potentials are
+    divided by it.  Short of underflow both steps are exact; an LP with an
+    allowed |gain| of 1 or more is solved unscaled.
     """
     c = np.asarray(values, dtype=float)
     ok = np.asarray(allowed, dtype=bool)
@@ -152,6 +163,10 @@ def solve_max_transport(values, allowed, supplies, demands):
     tails = src
     heads = n + dst
     cost = -c[src, dst]
+    # The tolerances are absolute: gains below 1 are solved scaled into [1, 2).
+    top = float(np.abs(cost).max(initial=0.0))
+    scale = math.frexp(top)[1] - 1 if 0.0 < top < 1.0 else 0
+    cost = np.ldexp(cost, -scale)
     nonbasic = np.ones(n_real, dtype=bool)
     flow = [0.0] * n_real + a + b
 
@@ -170,32 +185,34 @@ def solve_max_transport(values, allowed, supplies, demands):
             up[n + j] = False
             pi_m[n + j] = 1.0
 
-    block = math.isqrt(n_real - 1) + 1 if n_real else 0
-    next_arc = 0
+    block = math.isqrt(n_real - 1) + 1 if n_real else 1
+    blocks = [
+        (lo, tails[lo:lo + block], heads[lo:lo + block], cost[lo:lo + block], nonbasic[lo:lo + block])
+        for lo in range(0, n_real, block)
+    ]
+    next_block = 0
     pivots = degenerate = 0
+    m_flat_at = -1  # the pivot after which pi_m was constant on the real nodes
     while True:
         # Block search: the best eligible arc of the first block holding one.
         entering = -1
-        scanned = 0
-        start = next_arc
-        while scanned < n_real:
-            stop = min(start + block, n_real)
-            t = tails[start:stop]
-            h = heads[start:stop]
-            rc_m = pi_m[t] - pi_m[h]
-            rc_f = cost[start:stop] + pi_f[t] - pi_f[h]
-            # M coefficients are whole numbers and decide first
-            eligible = (rc_m < -0.5) | ((rc_m < 0.5) & (rc_f < -_PIVOT_TOL))
-            eligible &= nonbasic[start:stop]
-            scanned += stop - start
-            lo, start = start, (stop if stop < n_real else 0)
-            if eligible.any():
-                idx = np.flatnonzero(eligible)
-                idx = idx[rc_m[idx] == rc_m[idx].min()]
-                k = idx[np.argmin(rc_f[idx])]
+        for scan in range(len(blocks)):
+            lo, t, h, block_cost, block_free = blocks[(next_block + scan) % len(blocks)]
+            rc_f = block_cost + pi_f[t] - pi_f[h]
+            if m_flat_at < 0:
+                rc_m = pi_m[t] - pi_m[h]
+                # M coefficients are whole numbers and decide first
+                eligible = (rc_m < -0.5) | ((rc_m < 0.5) & (rc_f < -_PIVOT_TOL))
+            else:
+                eligible = rc_f < -_PIVOT_TOL
+            idx = (eligible & block_free).nonzero()[0]
+            if idx.size:
+                if m_flat_at < 0:
+                    idx = idx[rc_m[idx] == rc_m[idx].min()]
+                k = idx[rc_f[idx].argmin()]
                 entering = lo + int(k)
-                sigma_f, sigma_m = float(rc_f[k]), float(rc_m[k])
-                next_arc = start
+                sigma_f, sigma_m = float(rc_f[k]), (float(rc_m[k]) if m_flat_at < 0 else 0.0)
+                next_block = (next_block + scan + 1) % len(blocks)
                 break
         if entering < 0:
             break
@@ -204,74 +221,63 @@ def solve_max_transport(values, allowed, supplies, demands):
         pivots += 1
 
         # The cycle runs tail -> head along the entering arc, then up the
-        # tree from head to the apex and down from the apex to tail.
+        # tree from head to the apex and down from the apex to tail.  The
+        # walk to the apex keeps both tree paths for the steps below.
         first, second = int(tails[entering]), int(heads[entering])
+        path_first, path_second = [], []
         u, v = first, second
         while u != v:
             if depth[u] >= depth[v]:
+                path_first.append(u)
                 u = parent[u]
             else:
+                path_second.append(v)
                 v = parent[v]
-        apex = u
 
         # Leaving arc: last blocking arc met walking the cycle from the apex.
         theta = math.inf
-        u_out = -1
-        tail_side = True
-        u = first
-        while u != apex:
+        cut = None
+        for i, u in enumerate(path_first):
             if up[u] and flow[pred[u]] < theta:
-                theta = flow[pred[u]]
-                u_out = u
-            u = parent[u]
-        u = second
-        while u != apex:
+                theta, cut = flow[pred[u]], (path_first, i)
+        for i, u in enumerate(path_second):
             if not up[u] and flow[pred[u]] <= theta:
-                theta = flow[pred[u]]
-                u_out = u
-                tail_side = False
-            u = parent[u]
-        if u_out < 0:
+                theta, cut = flow[pred[u]], (path_second, i)
+        if cut is None:
             raise AssertionError("transportation cycle without reverse arc")
 
         if theta > 0.0:
             flow[entering] = theta
-            u = first
-            while u != apex:
+            for u in path_first:
                 flow[pred[u]] += -theta if up[u] else theta
-                u = parent[u]
-            u = second
-            while u != apex:
+            for u in path_second:
                 flow[pred[u]] += theta if up[u] else -theta
-                u = parent[u]
         else:
             degenerate += 1
 
-        leaving = pred[u_out]
+        path, i = cut
+        leaving = pred[path[i]]
         nonbasic[entering] = False
         if leaving < n_real:
             nonbasic[leaving] = True
 
         # Re-hang the cut-off subtree: reverse the tree path from the
-        # entering arc's endpoint inside it up to u_out.
-        if tail_side:
-            u_in, new_parent, new_up = first, second, True
+        # entering arc's endpoint inside it up to the leaving arc.
+        if path is path_first:
+            new_parent, new_up = second, True
         else:
-            u_in, new_parent, new_up = second, first, False
+            new_parent, new_up = first, False
             sigma_f, sigma_m = -sigma_f, -sigma_m
         new_arc = entering
-        u = u_in
-        while True:
-            old_parent, old_arc, old_up = parent[u], pred[u], up[u]
-            children[old_parent].remove(u)
+        for u in path[:i + 1]:
+            old_arc, old_up = pred[u], up[u]
+            children[parent[u]].remove(u)
             children[new_parent].append(u)
             parent[u], pred[u], up[u] = new_parent, new_arc, new_up
-            if u == u_out:
-                break
             new_parent, new_arc, new_up = u, old_arc, not old_up
-            u = old_parent
 
         # Depth and potentials change only on the re-hung subtree.
+        u_in = path[0]
         depth[u_in] = depth[parent[u_in]] + 1
         stack = [u_in]
         moved = []
@@ -283,7 +289,10 @@ def solve_max_transport(values, allowed, supplies, demands):
                 depth[w] = d
                 stack.append(w)
         pi_f[moved] -= sigma_f
-        pi_m[moved] -= sigma_m
+        if sigma_m:
+            pi_m[moved] -= sigma_m
+            if pi_m[:root].min() == pi_m[:root].max():
+                m_flat_at = pivots
 
     # mass the real arcs leave unrouted: unshipped supply, unmet demand
     unshipped = sum(f for f in flow[n_real:n_real + n] if f > _MASS_TOL)
@@ -291,8 +300,8 @@ def solve_max_transport(values, allowed, supplies, demands):
     stranded = max(unshipped, unmet)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
-            "solve_max_transport n=%d m=%d pivots=%d degenerate=%d stranded=%.3e",
-            n, m, pivots, degenerate, stranded,
+            "solve_max_transport n=%d m=%d pivots=%d degenerate=%d m_flat_at=%d stranded=%.3e",
+            n, m, pivots, degenerate, m_flat_at, stranded,
         )
     if stranded > _MASS_TOL:
         raise NoCausalCoupling(
@@ -331,5 +340,5 @@ def solve_max_transport(values, allowed, supplies, demands):
     delta = longest_path(len(children[root]), ca[cross], cb[cross], gain[cross])
     if delta is None:
         raise AssertionError("dual offsets failed to stabilize")
-    pot += delta[comp]
+    pot = np.ldexp(pot + delta[comp], scale)
     return masses, pot[:n], pot[n:]

@@ -1,7 +1,10 @@
 """Discrete causal transport: LP solve, duals, monotonicity diagnostics."""
 
+import hashlib
 import itertools
+import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +14,7 @@ from sublorentz.causality import tau
 from sublorentz.errors import InfeasibleDuals, NoCausalCoupling, WeightError
 from sublorentz.heisenberg import IDENTITY, GroupPoint
 from sublorentz.measures_io import sample_chronological_pair
+from sublorentz.simplex import solve_max_transport
 from sublorentz.transport import (
     SUPPORT_TOL,
     CostMatrix,
@@ -313,21 +317,108 @@ def test_gain_parameter_sweep_keeps_duality_tight():
         assert abs(duality_gap(plan, duals, mu, nu, cm)) <= 1e-9
 
 
-def test_solve_logs_pivot_count(caplog):
-    import logging
-    import re
-
-    mu, nu = sample_chronological_pair(6, 6, seed=3, weights="random")
+def _debug_fields(caplog, solve, *args):
+    """Run solve(*args) and parse the one DEBUG record it logs; the second
+    item is its result, or None when it raised NoCausalCoupling."""
+    caplog.clear()
+    result = None
     with caplog.at_level(logging.DEBUG, logger="sublorentz"):
-        solve_kantorovich(mu, nu, P)
+        try:
+            result = solve(*args)
+        except NoCausalCoupling:
+            pass
     records = [r.getMessage() for r in caplog.records if r.name == "sublorentz"]
     assert len(records) == 1
-    fields = dict(re.findall(r"(\w+)=(\S+)", records[0]))
+    return dict(re.findall(r"(\w+)=(\S+)", records[0])), result
+
+
+def test_solve_logs_pivot_count(caplog):
+    mu, nu = sample_chronological_pair(6, 6, seed=3, weights="random")
+    fields, _ = _debug_fields(caplog, solve_kantorovich, mu, nu, P)
     assert fields["n"] == "6" and fields["m"] == "6"
     assert 0 <= int(fields["degenerate"]) <= int(fields["pivots"])
     # the artificial start basis needs at least one pivot per real basic arc
     assert int(fields["pivots"]) >= 6
     assert float(fields["stranded"]) == 0.0
+    # every node ends on the real arcs, so the M part of pricing goes flat
+    assert 0 < int(fields["m_flat_at"]) <= int(fields["pivots"])
+    # stranded mass keeps nodes at -M and +M: the M part never goes flat
+    allowed = np.ones((3, 3), dtype=bool)
+    allowed[2] = False
+    fields, result = _debug_fields(
+        caplog, solve_max_transport, np.ones((3, 3)), allowed, np.full(3, 1 / 3), np.full(3, 1 / 3)
+    )
+    assert result is None  # NoCausalCoupling
+    assert float(fields["stranded"]) > 0.0
+    assert fields["m_flat_at"] == "-1"
+
+
+def _pinned_lp(seed, n, m, density, stranded):
+    """Integer gains 0..3 (many ties, the largest 3), a random mask of
+    allowed arcs and integer marginals with zeros; a stranded LP cuts its
+    last source, which carries supply, off every sink."""
+    rng = np.random.default_rng(seed)
+    gains = rng.integers(0, 4, (n, m)).astype(float)
+    allowed = rng.random((n, m)) < density
+    gains[0, 0] = 3.0
+    allowed[0, 0] = True
+    supplies = rng.integers(0, 4, n).astype(float)
+    demands = rng.integers(0, 4, m).astype(float)
+    supplies[0] = demands[0] = 1.0
+    if stranded:
+        allowed[-1] = False
+        supplies[-1] = 2.0
+    return gains, allowed, supplies / supplies.sum(), demands / demands.sum()
+
+
+# (seed, n, m, density, stranded) -> (pivots, degenerate, the first 16 hex
+# digits of the sha256 of the bytes of masses, phi and psi, or None for
+# NoCausalCoupling).  Any change to the pivot rule or the tree update shows
+# here; a change that keeps the pivot sequence keeps every value.
+PINNED_PIVOTS = {
+    (1, 5, 7, 1.0, False): (15, 2, "524ac419907b627d"),
+    (2, 6, 6, 0.6, False): (14, 0, None),
+    (3, 8, 5, 0.8, False): (17, 9, "4e16fef32bcb60a8"),
+    (4, 10, 12, 0.5, False): (23, 11, None),
+    (5, 12, 12, 1.0, False): (43, 10, "ec62b149aec71245"),
+    (6, 15, 9, 0.7, False): (37, 12, "e966d35ad787425b"),
+    (7, 16, 20, 0.4, False): (63, 8, "b3e318ca2c0ed878"),
+    (8, 20, 20, 1.0, False): (63, 12, "0a4e34eb8d9b9780"),
+    (9, 24, 18, 0.9, False): (97, 25, "eac8ddde665a10d9"),
+    (10, 30, 30, 1.0, False): (93, 20, "e9b0eb0aaf2e1ce3"),
+    (11, 9, 11, 0.8, True): (18, 7, None),
+    (12, 25, 25, 0.9, True): (83, 20, None),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_PIVOTS), ids=lambda k: f"seed{k[0]}-{k[1]}x{k[2]}")
+def test_pivot_sequence_is_pinned(caplog, key):
+    fields, result = _debug_fields(caplog, solve_max_transport, *_pinned_lp(*key))
+    digest = None
+    if result is not None:
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in result)).hexdigest()[:16]
+    assert (int(fields["pivots"]), int(fields["degenerate"]), digest) == PINNED_PIVOTS[key]
+
+
+@pytest.mark.parametrize("lam", [1e-20, 1e-24])
+def test_dilated_lp_keeps_its_plan_at_tiny_scales(lam):
+    # delta_lam scales tau by lam and every gain tau^p / p by lam^p, so the
+    # optimal plan stays and the value scales by lam^p, however small the
+    # gains get next to the simplex's absolute tolerances
+    mu, nu = sample_chronological_pair(12, 12, seed=4, weights="random")
+    base, _ = solve_kantorovich(mu, nu, P)
+
+    def dilate(measure):
+        atoms = tuple(GroupPoint(lam * q.x, lam * q.y, lam * lam * q.z) for q in measure.atoms)
+        return DiscreteMeasure(atoms, measure.weights)
+
+    mu, nu = dilate(mu), dilate(nu)
+    plan, duals = solve_kantorovich(mu, nu, P)
+    cm = cost_matrix(mu, nu, P)
+    assert np.array_equal(plan.masses > SUPPORT_TOL, base.masses > SUPPORT_TOL)
+    assert plan.value * lam**-P.p == pytest.approx(base.value, rel=1e-12, abs=0.0)
+    slack = duals.psi[None, :] - duals.phi[:, None] - cm.values
+    assert slack[cm.feasible].min() >= -1e-12 * np.abs(cm.values[cm.feasible]).max()
 
 
 def test_support_lists_pairs_above_tolerance_in_row_major_order():
