@@ -20,7 +20,12 @@ Design notes:
   simplex of Bonneel, van de Panne, Paris & Heidrich (2011): reduced costs
   of the allowed arcs are evaluated with numpy in blocks of ceil(sqrt(#arcs))
   arcs, each search resumes where the previous one stopped, and the best arc
-  of the first block holding an eligible arc enters.  Once the M
+  of the first block holding an eligible arc enters.  Basic arcs are priced
+  at +inf, so a block's best arc is one argmin that no basic arc can win.
+  A basic real arc's M part is exactly 0 (the M coefficients are whole
+  numbers), so when a block's least M part is negative, the best float part
+  among the arcs at that least M part enters; otherwise the best float part
+  among the arcs with M part 0 does, if it is below -tol.  Once the M
   coefficients of all real nodes are equal, every real arc's M part is 0
   and stays 0, so pricing compares the float parts alone.
 * Anti-cycling uses strongly feasible trees (Cunningham 1976): every tree
@@ -167,7 +172,7 @@ def solve_max_transport(values, allowed, supplies, demands):
     top = float(np.abs(cost).max(initial=0.0))
     scale = math.frexp(top)[1] - 1 if 0.0 < top < 1.0 else 0
     cost = np.ldexp(cost, -scale)
-    nonbasic = np.ones(n_real, dtype=bool)
+    price = cost.copy()  # +inf on basic arcs, so that no argmin picks one
     flow = [0.0] * n_real + a + b
 
     parent = [root] * (root + 1)
@@ -187,7 +192,7 @@ def solve_max_transport(values, allowed, supplies, demands):
 
     block = math.isqrt(n_real - 1) + 1 if n_real else 1
     blocks = [
-        (lo, tails[lo:lo + block], heads[lo:lo + block], cost[lo:lo + block], nonbasic[lo:lo + block])
+        (lo, tails[lo:lo + block], heads[lo:lo + block], price[lo:lo + block])
         for lo in range(0, n_real, block)
     ]
     next_block = 0
@@ -197,21 +202,22 @@ def solve_max_transport(values, allowed, supplies, demands):
         # Block search: the best eligible arc of the first block holding one.
         entering = -1
         for scan in range(len(blocks)):
-            lo, t, h, block_cost, block_free = blocks[(next_block + scan) % len(blocks)]
-            rc_f = block_cost + pi_f[t] - pi_f[h]
+            lo, t, h, block_price = blocks[(next_block + scan) % len(blocks)]
+            rc_f = block_price + pi_f[t] - pi_f[h]
+            pick, sigma_m = rc_f, 0.0
             if m_flat_at < 0:
+                # M coefficients are whole numbers and decide first; a basic
+                # real arc's is exactly 0, so a negative min is a nonbasic arc's
                 rc_m = pi_m[t] - pi_m[h]
-                # M coefficients are whole numbers and decide first
-                eligible = (rc_m < -0.5) | ((rc_m < 0.5) & (rc_f < -_PIVOT_TOL))
-            else:
-                eligible = rc_f < -_PIVOT_TOL
-            idx = (eligible & block_free).nonzero()[0]
-            if idx.size:
-                if m_flat_at < 0:
-                    idx = idx[rc_m[idx] == rc_m[idx].min()]
-                k = idx[rc_f[idx].argmin()]
+                least = rc_m.min()
+                if least < -0.5:
+                    pick, sigma_m = np.where(rc_m == least, rc_f, np.inf), float(least)
+                else:
+                    pick = np.where(rc_m < 0.5, rc_f, np.inf)
+            k = pick.argmin()
+            if sigma_m < 0.0 or pick[k] < -_PIVOT_TOL:
                 entering = lo + int(k)
-                sigma_f, sigma_m = float(rc_f[k]), (float(rc_m[k]) if m_flat_at < 0 else 0.0)
+                sigma_f = float(rc_f[k])
                 next_block = (next_block + scan + 1) % len(blocks)
                 break
         if entering < 0:
@@ -257,9 +263,9 @@ def solve_max_transport(values, allowed, supplies, demands):
 
         path, i = cut
         leaving = pred[path[i]]
-        nonbasic[entering] = False
+        price[entering] = math.inf
         if leaving < n_real:
-            nonbasic[leaving] = True
+            price[leaving] = cost[leaving]
 
         # Re-hang the cut-off subtree: reverse the tree path from the
         # entering arc's endpoint inside it up to the leaving arc.
@@ -288,6 +294,7 @@ def solve_max_transport(values, allowed, supplies, demands):
             for w in children[u]:
                 depth[w] = d
                 stack.append(w)
+        moved = np.array(moved)
         pi_f[moved] -= sigma_f
         if sigma_m:
             pi_m[moved] -= sigma_m

@@ -144,17 +144,24 @@ def strengthen_duals(plan: TransportPlan, cost: CostMatrix) -> DualPotentials:
 
     A margin of zero can be genuinely unimprovable (ties between optimal
     plans); the returned duals are then the minimal feasible ones.
+
+    The tolerances of the search are absolute.  As in solve_max_transport,
+    when the largest feasible |gain| is below 1 the search runs on the gains
+    multiplied by the power of two that brings it into [1, 2), and the
+    potentials are divided by it; gains of 1 or more are used unscaled.
     """
     n, m = plan.masses.shape
     on = plan.masses > SUPPORT_TOL
     si, sj = np.nonzero(on)
     fi, fj = np.nonzero(cost.feasible & ~on)
+    top = float(np.abs(cost.values[cost.feasible]).max(initial=0.0))
+    scale = math.frexp(top)[1] - 1 if 0.0 < top < 1.0 else 0
     # support pairs bind both ways; other feasible pairs carry the margin
     tail = np.concatenate([si, n + sj, fi])
     head = np.concatenate([n + sj, si, n + fj])
-    gain = cost.values[si, sj]
+    gain = np.ldexp(cost.values[si, sj], -scale)
     bound = np.concatenate([gain, -gain])
-    slack = cost.values[fi, fj]
+    slack = np.ldexp(cost.values[fi, fj], -scale)
 
     def solve_margin(margin):
         # least potentials with pi_v >= pi_u + w on all edges; None when the
@@ -176,7 +183,7 @@ def strengthen_duals(plan: TransportPlan, cost: CostMatrix) -> DualPotentials:
                 hi = mid
             if hi - lo <= 1e-9 + 1e-6 * lo:
                 break
-    pi = solve_margin(0.5 * lo)
+    pi = np.ldexp(solve_margin(0.5 * lo), scale)
     return DualPotentials(pi[:n], pi[n:])
 
 

@@ -3,7 +3,7 @@ properties.  Each suite returns a SuiteResult; run_suites collects them all.
 
 They are wired to the `verify` CLI subcommand, so an installation can
 certify itself without the development test tree; the whole command takes
-about 1.5 s on a 2.1 GHz Xeon vCPU.
+about 1.3 s on one 2.1 GHz Xeon vCPU of a shared 2-vCPU VM (2026-10-18).
 """
 
 from __future__ import annotations
@@ -74,24 +74,32 @@ def _rk4_flows(covs: np.ndarray, ts: np.ndarray, steps: int) -> np.ndarray:
     steps of its own size.  Returns the final (n, 5) states (x, y, z, hX, hY);
     hZ is constant.
     """
-    hz = covs[:, 2]
+    n = len(ts)
+    flip = np.array([[-1.0], [1.0]])
+    minus_hz = -covs[:, 2]
 
-    def rhs(s):
-        x, y, z, hx, hy = s.T
-        return np.stack(
-            [-hx, hy, 0.5 * (hx * y + hy * x), -hy * hz, -hx * hz], axis=1
-        )
+    def rhs(s, out):
+        # rows (-hX, hY, (hX y + hY x) / 2, -hY hZ, -hX hZ); negating a
+        # factor rounds exactly, so every row has the bits of the formula
+        np.multiply(s[3:], flip, out=out[:2])
+        hxy_hyx = s[3:] * s[1::-1]
+        np.add(hxy_hyx[0], hxy_hyx[1], out=out[2])
+        out[2] *= 0.5
+        np.multiply(s[4:2:-1], minus_hz, out=out[3:])
+        return out
 
-    s = np.zeros((len(ts), 5))
-    s[:, 3:] = covs[:, :2]
-    h = (ts / steps)[:, None]
+    s = np.zeros((5, n))  # one row per state variable
+    s[3:] = covs[:, :2].T
+    h = ts / steps
+    half, sixth = 0.5 * h, h / 6.0
+    k1, k2, k3, k4 = np.empty((4, 5, n))
     for _ in range(steps):
-        k1 = rhs(s)
-        k2 = rhs(s + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h * k2)
-        k4 = rhs(s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return s
+        rhs(s, k1)
+        rhs(s + half * k1, k2)
+        rhs(s + half * k2, k3)
+        rhs(s + h * k3, k4)
+        s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return s.T
 
 
 def suite_exp_log_roundtrip(seed: int) -> SuiteResult:

@@ -105,7 +105,7 @@ def test_log_map_frozen_example():
     )
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, derandomize=True, deadline=None)
 @given(
     st.floats(-0.85, 0.85),
     st.floats(0.05, 1.2),
@@ -140,7 +140,7 @@ def test_log_map_rejects_non_chronological_targets():
         log_map(IDENTITY, GroupPoint(-1.0, 0.0, 0.0))
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, derandomize=True, deadline=None)
 @given(
     st.floats(-0.8, 0.8),
     st.floats(0.05, 1.0),

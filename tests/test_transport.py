@@ -388,6 +388,10 @@ PINNED_PIVOTS = {
     (10, 30, 30, 1.0, False): (93, 20, "e9b0eb0aaf2e1ce3"),
     (11, 9, 11, 0.8, True): (18, 7, None),
     (12, 25, 25, 0.9, True): (83, 20, None),
+    # these log m_flat_at=-1: their zero-demand sinks keep the M part from flattening
+    (14, 14, 12, 0.6, False): (48, 11, "17ae03c16e3b7630"),
+    (15, 100, 100, 0.9, False): (267, 65, "372ba6412b91f27e"),
+    (16, 200, 200, 0.9, False): (485, 95, "09fb7529745a71ac"),
 }
 
 
@@ -400,25 +404,48 @@ def test_pivot_sequence_is_pinned(caplog, key):
     assert (int(fields["pivots"]), int(fields["degenerate"]), digest) == PINNED_PIVOTS[key]
 
 
-@pytest.mark.parametrize("lam", [1e-20, 1e-24])
-def test_dilated_lp_keeps_its_plan_at_tiny_scales(lam):
-    # delta_lam scales tau by lam and every gain tau^p / p by lam^p, so the
-    # optimal plan stays and the value scales by lam^p, however small the
-    # gains get next to the simplex's absolute tolerances
-    mu, nu = sample_chronological_pair(12, 12, seed=4, weights="random")
-    base, _ = solve_kantorovich(mu, nu, P)
+def _dilated_pair(lam):
+    """The 12x12 random-weight pair of seed 4 under delta_lam.  delta_lam
+    scales tau by lam and every gain tau^p / p by lam^p, so the optimal plan
+    stays and the value scales by lam^p, however small the gains get next to
+    the absolute tolerances of the solvers."""
 
     def dilate(measure):
         atoms = tuple(GroupPoint(lam * q.x, lam * q.y, lam * lam * q.z) for q in measure.atoms)
         return DiscreteMeasure(atoms, measure.weights)
 
-    mu, nu = dilate(mu), dilate(nu)
+    return tuple(map(dilate, sample_chronological_pair(12, 12, seed=4, weights="random")))
+
+
+@pytest.mark.parametrize("lam", [1e-20, 1e-24])
+def test_dilated_lp_keeps_its_plan_at_tiny_scales(lam):
+    base, _ = solve_kantorovich(*_dilated_pair(1.0), P)
+    mu, nu = _dilated_pair(lam)
     plan, duals = solve_kantorovich(mu, nu, P)
     cm = cost_matrix(mu, nu, P)
     assert np.array_equal(plan.masses > SUPPORT_TOL, base.masses > SUPPORT_TOL)
     assert plan.value * lam**-P.p == pytest.approx(base.value, rel=1e-12, abs=0.0)
     slack = duals.psi[None, :] - duals.phi[:, None] - cm.values
     assert slack[cm.feasible].min() >= -1e-12 * np.abs(cm.values[cm.feasible]).max()
+
+
+@pytest.mark.parametrize("lam", [1e-20, 1e-24])
+def test_strengthened_duals_keep_their_margin_at_tiny_scales(lam):
+    # the margin of the strengthened duals scales by lam^p like every gain:
+    # support pairs stay tight and off-support slacks stay positive
+    def margins(mu, nu):
+        plan, _ = solve_kantorovich(mu, nu, P)
+        cm = cost_matrix(mu, nu, P)
+        duals = strengthen_duals(plan, cm)
+        slack = duals.psi[None, :] - duals.phi[:, None] - cm.values
+        on = plan.masses > SUPPORT_TOL
+        return np.abs(slack[on]).max(), slack[cm.feasible & ~on].min(), np.abs(cm.values[cm.feasible]).max()
+
+    _, base, _ = margins(*_dilated_pair(1.0))
+    assert base > 0.0
+    off_tight, least, top = margins(*_dilated_pair(lam))
+    assert off_tight <= 1e-12 * top
+    assert least * lam**-P.p == pytest.approx(base, rel=1e-9, abs=0.0)
 
 
 def test_support_lists_pairs_above_tolerance_in_row_major_order():
