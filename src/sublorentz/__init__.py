@@ -13,131 +13,47 @@ Core layers:
 * :mod:`sublorentz.measures_io` -- measure/plan file formats and samplers.
 
 The ``sublorentz`` command line tool fronts the same operations.
+
+Importing the package loads none of these modules.  Each exported name is
+listed once below with its home module, which is imported on the first
+access to the name (PEP 562).  So a process pays only for the layers it
+uses; ``heisenberg``, ``causality``, ``geodesics`` and ``errors`` import
+no numpy, and the CLI's ``tau``, ``logmap`` and plain ``geodesic`` commands
+must keep running without it.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .heisenberg import (
-    IDENTITY,
-    CoordCovector,
-    FrameCovector,
-    GroupPoint,
-    coord_to_frame,
-    energy,
-    group_difference,
-    mul,
-)
-from .causality import (
-    CausalRelation,
-    PlanarPoint,
-    alpha,
-    beta,
-    causal_diamond_bbox,
-    classify,
-    minkowski_tau,
-    tau,
-    tau_partition_length,
-)
-from .geodesics import (
-    GeodesicArc,
-    HamiltonianState,
-    exp_map,
-    flow,
-    log_map,
-)
-from .transport import (
-    CostMatrix,
-    CostParams,
-    DiscreteMeasure,
-    DualPotentials,
-    TransportPlan,
-    brute_force_plan,
-    check_cyclical_monotonicity,
-    cost_matrix,
-    duality_gap,
-    lorentz_wasserstein,
-    solve_kantorovich,
-    strengthen_duals,
-)
-from .brenier import (
-    MapSample,
-    SemiDiscretePotential,
-    backward_map_from_duals,
-    brenier_map,
-    interpolate,
-    inverse_roundtrip_check,
-    monge_ampere_residual,
-    potential_from_duals,
-    potential_gradient,
-    transport_map_from_duals,
-)
-from .minkowski import (
-    right_translation_verdict,
-    seeded_verdict_instance,
-    solve_minkowski,
-)
-from .measures_io import (
-    load_measure,
-    sample_chronological_pair,
-    sample_diamond,
-    save_measure,
-    save_plan,
-    save_trajectory,
-)
+_EXPORTS = {
+    "heisenberg": "IDENTITY GroupPoint CoordCovector FrameCovector mul group_difference coord_to_frame energy",
+    "causality": "CausalRelation PlanarPoint classify tau minkowski_tau alpha beta causal_diamond_bbox "
+                 "tau_partition_length",
+    "geodesics": "HamiltonianState GeodesicArc flow exp_map log_map",
+    "transport": "CostParams CostMatrix DiscreteMeasure TransportPlan DualPotentials cost_matrix "
+                 "solve_kantorovich strengthen_duals lorentz_wasserstein duality_gap brute_force_plan "
+                 "check_cyclical_monotonicity",
+    "brenier": "SemiDiscretePotential MapSample potential_from_duals potential_gradient brenier_map "
+               "interpolate transport_map_from_duals backward_map_from_duals inverse_roundtrip_check "
+               "monge_ampere_residual",
+    "minkowski": "solve_minkowski right_translation_verdict seeded_verdict_instance",
+    "measures_io": "load_measure save_measure save_plan save_trajectory sample_diamond "
+                   "sample_chronological_pair",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = [
-    "__version__",
-    "IDENTITY",
-    "GroupPoint",
-    "CoordCovector",
-    "FrameCovector",
-    "mul",
-    "group_difference",
-    "coord_to_frame",
-    "energy",
-    "CausalRelation",
-    "PlanarPoint",
-    "classify",
-    "tau",
-    "minkowski_tau",
-    "alpha",
-    "beta",
-    "causal_diamond_bbox",
-    "tau_partition_length",
-    "HamiltonianState",
-    "GeodesicArc",
-    "flow",
-    "exp_map",
-    "log_map",
-    "CostParams",
-    "CostMatrix",
-    "DiscreteMeasure",
-    "TransportPlan",
-    "DualPotentials",
-    "cost_matrix",
-    "solve_kantorovich",
-    "strengthen_duals",
-    "lorentz_wasserstein",
-    "duality_gap",
-    "brute_force_plan",
-    "check_cyclical_monotonicity",
-    "SemiDiscretePotential",
-    "MapSample",
-    "potential_from_duals",
-    "potential_gradient",
-    "brenier_map",
-    "interpolate",
-    "transport_map_from_duals",
-    "backward_map_from_duals",
-    "inverse_roundtrip_check",
-    "monge_ampere_residual",
-    "solve_minkowski",
-    "right_translation_verdict",
-    "seeded_verdict_instance",
-    "load_measure",
-    "save_measure",
-    "save_plan",
-    "save_trajectory",
-    "sample_diamond",
-    "sample_chronological_pair",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

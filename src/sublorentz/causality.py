@@ -27,6 +27,9 @@ covers every pair of two atom families.  Both apply ``cone_state`` to
 agree bit for bit.  ``beta_array`` is the scalar safeguarded Newton iteration run
 on the entries that have not converged yet; numpy's sinh and cosh may differ
 from the math module's in the last bit, so values agree to roundoff.
+
+Only the array kernels import numpy, inside their bodies, so the scalar
+layers (this module, ``heisenberg``, ``geodesics``) load without it.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from __future__ import annotations
 import enum
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import NotCausalChain, NotChronological, OutOfDomain
 from .heisenberg import GroupPoint, group_difference
@@ -94,6 +95,8 @@ def classify(q0: GroupPoint, q: GroupPoint) -> CausalRelation:
 
 def _differences(a, b):
     """group_difference of broadcast point arrays whose last axis is (x, y, z)."""
+    import numpy as np
+
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     return group_difference(GroupPoint(a[..., 0], a[..., 1], a[..., 2]), GroupPoint(b[..., 0], b[..., 1], b[..., 2]))
@@ -187,6 +190,8 @@ def beta(zeta: float) -> float:
 
 def _alpha_terms(t):
     """alpha and alpha' on an array of t > 0, with the scalar series branch."""
+    import numpy as np
+
     small = t < _ALPHA_SERIES_CUT
     some_small = small.any()
     tc = np.where(small, 1.0, t) if some_small else t
@@ -208,6 +213,8 @@ def beta_array(zeta) -> np.ndarray:
     as the scalar iteration; each round works only on the entries that have
     not stopped yet.
     """
+    import numpy as np
+
     zeta = np.asarray(zeta, float)
     if not np.all(np.abs(zeta) < 0.25):
         raise OutOfDomain("beta requires |zeta| < 1/4 on every entry")
@@ -278,6 +285,8 @@ def tau_array(a, b):
     tau is zero off the chronological mask and given by the formula of
     :func:`tau` on it; only chronological entries reach ``beta_array``.
     """
+    import numpy as np
+
     x, y, z = _differences(a, b)
     chronological, causal = cone_state(x, y, z)
     x, y, z = x[chronological], y[chronological], z[chronological]

@@ -16,6 +16,13 @@ digits unless --digits overrides.
 
 Exit codes: 0 success, 1 failed verification, 2 argument or file parse
 error, 3 I/O error, 4 causally infeasible input.
+
+Start-up is most of a short command's time, so this module imports only the
+numpy-free scalar layers (heisenberg, causality, geodesics, errors).  Each
+command imports the rest it runs in its own body: transport, measures_io,
+brenier, minkowski and numpy where it needs them, svg only under --svg.
+``tau``, ``logmap`` and ``geodesic`` without --out or --svg never import
+numpy; keep it so.
 """
 
 from __future__ import annotations
@@ -25,13 +32,6 @@ import math
 import re
 import sys
 
-import numpy as np
-
-from .brenier import (
-    interpolate,
-    potential_from_duals,
-    transport_map_from_duals,
-)
 from .causality import classify, tau
 from .errors import (
     NoCausalCoupling,
@@ -41,19 +41,6 @@ from .errors import (
 )
 from .geodesics import GeodesicArc, geodesic_trace, log_map
 from .heisenberg import FrameCovector, GroupPoint, energy, is_future_timelike, mul
-from .measures_io import load_measure, save_measure, save_plan, save_trajectory
-from .minkowski import right_translation_verdict
-from .transport import (
-    CostParams,
-    DiscreteMeasure,
-    check_cyclical_monotonicity,
-    cost_matrix,
-    duality_gap,
-    solve_cost_matrix,
-    solve_kantorovich,
-    strengthen_duals,
-)
-from . import svg
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -90,9 +77,12 @@ def _checked(convert, ok, what: str):
 
 def _float_list(text: str):
     try:
-        return [float(p) for p in text.split(",") if p != ""]
+        values = [float(p) for p in text.split(",") if p != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
+    return values
 
 
 _cost_exponent = _checked(float, lambda p: 0.0 < p < 1.0, "in (0, 1)")
@@ -203,6 +193,8 @@ def cmd_geodesic(args) -> int:
     arc = GeodesicArc(GroupPoint(*args.src), FrameCovector(*args.cov), args.t)
     rows = geodesic_trace(arc, args.n)
     if args.out:
+        from .measures_io import save_trajectory
+
         save_trajectory(rows, args.out)
         print(f"wrote {args.out} ({len(rows)} rows)")
     else:
@@ -210,6 +202,8 @@ def cmd_geodesic(args) -> int:
         for t, p in rows:
             print(f"{_fmt(args, t)},{_fmt(args, p.x)},{_fmt(args, p.y)},{_fmt(args, p.z)}")
     if args.svg:
+        from . import svg
+
         svg.write_trace_svg(args.svg, rows)
         print(f"wrote {args.svg}")
     return EXIT_OK
@@ -228,10 +222,14 @@ def cmd_logmap(args) -> int:
 
 
 def _load_pair(args):
+    from .measures_io import load_measure
+
     return load_measure(args.mu), load_measure(args.nu)
 
 
 def cmd_solve(args) -> int:
+    from .transport import CostParams, check_cyclical_monotonicity, cost_matrix, duality_gap, solve_cost_matrix
+
     mu, nu = _load_pair(args)
     params = CostParams(args.p)
     cm = cost_matrix(mu, nu, params)
@@ -245,9 +243,13 @@ def cmd_solve(args) -> int:
     print(f"monotonicity_cycles_checked {report.cycles_checked}")
     print(f"monotonicity_exhaustive {report.exhaustive}")
     if args.out:
+        from .measures_io import save_plan
+
         save_plan(plan, cm, args.out)
         print(f"wrote {args.out}")
     if args.svg:
+        from . import svg
+
         svg.write_plan_svg(
             args.svg, mu, nu, [(i, j, float(plan.masses[i, j])) for i, j in plan.support()]
         )
@@ -256,6 +258,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_brenier(args) -> int:
+    import numpy as np
+
+    from .brenier import interpolate, potential_from_duals, transport_map_from_duals
+    from .measures_io import save_measure
+    from .transport import CostParams, DiscreteMeasure, cost_matrix, solve_cost_matrix, strengthen_duals
+
     mu, nu = _load_pair(args)
     params = CostParams(args.p)
     cm = cost_matrix(mu, nu, params)
@@ -281,6 +289,8 @@ def cmd_brenier(args) -> int:
         save_measure(DiscreteMeasure(pts, w.copy()), path)
         print(f"wrote {path}")
     if args.svg:
+        from . import svg
+
         sources = DiscreteMeasure([s.source for s in result.samples], w)
         svg.write_plan_svg(
             args.svg,
@@ -294,6 +304,11 @@ def cmd_brenier(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
+    import numpy as np
+
+    from .measures_io import save_measure
+    from .transport import CostParams, DiscreteMeasure, solve_kantorovich
+
     mu, nu = _load_pair(args)
     params = CostParams(args.p)
     plan, _ = solve_kantorovich(mu, nu, params)
@@ -315,6 +330,10 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_right_translation(args) -> int:
+    from .measures_io import load_measure, save_measure
+    from .minkowski import right_translation_verdict
+    from .transport import CostParams, DiscreteMeasure
+
     mu = load_measure(args.mu)
     params = CostParams(args.p)
     verdict = right_translation_verdict(mu, GroupPoint(*args.q0), params, gap_tol=args.tol)

@@ -1,17 +1,69 @@
-"""The public names and the functions the benchmark tracer wraps exist, and
-every public function, class and result field has a reader."""
+"""The public names are their home modules' own objects, importing the
+package loads none of its modules, the functions the benchmark tracer wraps
+exist, and every public function, class and result field has a reader."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import sublorentz
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "sublorentz").glob("*.py") if p.name != "__init__.py")
+
+
+def _defined_names(path):
+    """The names a module's top level defines: functions, classes, assignments."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in sublorentz.__all__ if not hasattr(sublorentz, name)]
     assert missing == []
+    # each name is the very object of the one module that defines it
+    homes = {path.stem: _defined_names(path) for path in MODULES}
+    for name in sublorentz.__all__:
+        if name == "__version__":
+            continue
+        defining = [module for module, names in homes.items() if name in names]
+        assert len(defining) == 1, (name, defining)
+        home = importlib.import_module(f"sublorentz.{defining[0]}")
+        assert getattr(sublorentz, name) is getattr(home, name), name
+
+
+_LAYERING_PROBE = """
+import contextlib, io, sys
+import sublorentz
+loaded = sorted(m for m in sys.modules if m.startswith("sublorentz."))
+assert loaded == [] and "numpy" not in sys.modules, loaded
+from sublorentz import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["tau", "--from", "0,0,0", "--to", "2,1,0.1"],
+                 ["logmap", "--from", "0,0,0", "--to", "2,1,0.1"],
+                 ["geodesic", "--cov", "-1,0,1", "--n", "5"]):
+        assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("sublorentz."))
+"""
+
+
+def test_import_layering():
+    # A fresh interpreter: importing the package loads no submodule and no
+    # numpy, and the start-up bound commands run without numpy.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAYERING_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _traced():
@@ -52,10 +104,6 @@ def _read_attributes(path):
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-
-
-ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(p for p in (ROOT / "src" / "sublorentz").glob("*.py") if p.name != "__init__.py")
 
 
 def _readers(read):

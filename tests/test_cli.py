@@ -61,6 +61,10 @@ def test_out_of_range_arguments_exit_2(fixture_files, tmp_path):
         ["brenier", "--mu", mu, "--nu", nu, "--t", "0.5,1.5", "--out", prefix],
         ["interpolate", "--mu", mu, "--nu", nu, "--t", "1.5", "--out", prefix],
         ["interpolate", "--mu", mu, "--nu", nu, "--t", "-0.1", "--out", prefix],
+        ["interpolate", "--mu", mu, "--nu", nu, "--t", "", "--out", prefix],
+        ["interpolate", "--mu", mu, "--nu", nu, "--t", ",", "--out", prefix],
+        ["brenier", "--mu", mu, "--nu", nu, "--t", "", "--out", prefix],
+        ["brenier", "--mu", mu, "--nu", nu, "--t", ",", "--out", prefix],
         ["geodesic", "--cov", "-1,0,1", "--n", "1"],
         ["geodesic", "--cov", "-1,0,1", "--t", "-1"],
         ["geodesic", "--cov", "1,0,0"],

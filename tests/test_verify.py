@@ -1,9 +1,28 @@
-"""The verify layer's RK4 oracle steps all flows as one array and gives the
-same bits as stepping each flow on its own."""
+"""The verify layer's batched oracles give the same bits as their loops: the
+RK4 oracle steps all flows as one array, and the suites draw their random
+numbers in blocks instead of one Generator.uniform call per number."""
+
+import math
+import sys
 
 import numpy as np
+import pytest
 
-from sublorentz.verify import _rk4_flows
+from sublorentz import causality, verify
+from sublorentz.brenier import MapSample, interpolate, potential_from_duals, transport_map_from_duals
+from sublorentz.causality import CausalRelation, classify, tau, tau_partition_length
+from sublorentz.geodesics import GeodesicArc, exp_map
+from sublorentz.heisenberg import IDENTITY, FrameCovector, GroupPoint, energy, mul
+from sublorentz.measures_io import sample_chronological_pair
+from sublorentz.transport import (
+    CostParams,
+    DiscreteMeasure,
+    cost_matrix,
+    solve_cost_matrix,
+    solve_kantorovich,
+    strengthen_duals,
+)
+from sublorentz.verify import SuiteResult, _rk4_flows
 
 
 def _rk4_one(cov, t, steps):
@@ -36,3 +55,164 @@ def test_batched_rk4_is_bit_identical_to_per_flow_loop():
     looped = np.array([_rk4_one(cov, float(t), steps) for cov, t in zip(covs, ts)])
     assert batched.shape == (5, 5)
     assert np.array_equal(batched, looped)
+
+
+# -- the suites' draws, one Generator.uniform call per number ----------------
+
+
+def _timelike_covector(rng):
+    v = rng.uniform(-0.9, 0.9)
+    u = -rng.uniform(abs(v) + 0.05, 2.0)
+    w = rng.uniform(-1.5, 1.5)
+    return FrameCovector(u, v, w)
+
+
+def test_batched_draws_are_bit_identical_to_uniform_calls():
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        looped = np.array([_timelike_covector(rng) for _ in range(400)])
+        batched = np.array(verify._timelike_covectors(np.random.default_rng(seed).random((400, 3))))
+        assert np.array_equal(batched, looped)
+        rng = np.random.default_rng(seed)
+        looped = np.array([[rng.uniform(-1, 3), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5)] for _ in range(400)])
+        u = np.random.default_rng(seed).random((400, 3))
+        assert np.array_equal(np.array(verify._points(u, (-1.0, -1.0, -0.5), (3.0, 1.0, 0.5))), looped)
+
+
+# The five suites as they were written with scalar draws.
+
+
+def _tau_consistency(seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(500):
+        cov = _timelike_covector(rng)
+        q = exp_map(IDENTITY, cov)
+        worst = max(worst, abs(tau(IDENTITY, q) - math.sqrt(2.0 * energy(cov))))
+    frozen = abs(tau(IDENTITY, GroupPoint(2.0, 1.0, 0.0)) - math.sqrt(3.0))
+    ok = worst <= 1e-9 and frozen <= 1e-12
+    return SuiteResult(
+        "tau-consistency", ok, f"sup deviation {worst:.3e}; planar fixture {frozen:.3e}"
+    )
+
+
+def _reverse_triangle(seed):
+    rng = np.random.default_rng(seed)
+    n = 2000
+    worst = 0.0
+    for _ in range(n):
+        a = GroupPoint(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
+        b = mul(a, exp_map(IDENTITY, _timelike_covector(rng)))
+        c = mul(b, exp_map(IDENTITY, _timelike_covector(rng)))
+        worst = max(worst, tau(a, b) + tau(b, c) - tau(a, c))
+    return SuiteResult(
+        "reverse-triangle", worst <= 1e-10, f"worst violation {worst:.3e} over {n} chains"
+    )
+
+
+def _planar_bound(seed):
+    rng = np.random.default_rng(seed)
+    n = 2000
+    worst = 0.0
+    checked = 0
+    while checked < n:
+        a = GroupPoint(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
+        b = GroupPoint(rng.uniform(-1, 3), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
+        if classify(a, b) is not CausalRelation.CHRONOLOGICAL:
+            continue
+        checked += 1
+        planar = math.sqrt(max((b.x - a.x) ** 2 - (b.y - a.y) ** 2, 0.0))
+        worst = max(worst, tau(a, b) - planar)
+    return SuiteResult(
+        "planar-bound", worst <= 1e-10, f"worst excess {worst:.3e} over {n} pairs"
+    )
+
+
+def _interpolation(seed):
+    rng = np.random.default_rng(seed)
+    params = CostParams(0.5)
+    worst_point = 0.0
+    for _ in range(200):
+        cov = _timelike_covector(rng)
+        q = GroupPoint(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.3, 0.3))
+        sample = MapSample(q, exp_map(q, cov), cov)
+        s, t = sorted(rng.uniform(0.0, 1.0, 2))
+        qs, qt = interpolate(sample, s), interpolate(sample, t)
+        expect = (t - s) * tau(sample.source, sample.image)
+        worst_point = max(worst_point, abs(tau(qs, qt) - expect))
+    mu, nu = sample_chronological_pair(5, 5, seed=seed + 1)
+    cm = cost_matrix(mu, nu, params)
+    plan, _ = solve_cost_matrix(cm, mu.weights, nu.weights)
+    duals = strengthen_duals(plan, cm)
+    pot = potential_from_duals(duals, nu, params)
+    fwd = transport_map_from_duals(mu, pot, method="analytic")
+    worst_measure = 0.0
+    if len(fwd.mapped) == len(mu.atoms):
+        ell = (params.p * plan.value) ** (1.0 / params.p)
+        for s, t in ((0.0, 0.5), (0.25, 0.75), (0.5, 1.0)):
+            mus = DiscreteMeasure([interpolate(x, s) for x in fwd.samples], mu.weights)
+            mut = DiscreteMeasure([interpolate(x, t) for x in fwd.samples], mu.weights)
+            ps, _ = solve_kantorovich(mus, mut, params)
+            ell_st = (params.p * ps.value) ** (1.0 / params.p)
+            worst_measure = max(worst_measure, abs(ell_st - (t - s) * ell))
+    ok = worst_point <= 1e-9 and worst_measure <= 1e-6
+    return SuiteResult(
+        "displacement-interpolation",
+        ok,
+        f"pointwise {worst_point:.3e}; measure-level {worst_measure:.3e}",
+    )
+
+
+def _partition_length(seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(5):
+        cov = _timelike_covector(rng)
+        arc = GeodesicArc(IDENTITY, cov, 1.0)
+        length = math.sqrt(2.0 * energy(cov))
+        prev = math.inf
+        monotone = True
+        final = 0.0
+        for k in (2, 8, 64, 1024):
+            pts = [arc.point(j / k) for j in range(k + 1)]
+            total = tau_partition_length(pts)
+            if total > prev + 1e-12:
+                monotone = False
+            prev = total
+            final = total
+        worst = max(worst, abs(final - length))
+        if not monotone:
+            return SuiteResult("partition-length", False, "partition sums increased")
+    return SuiteResult(
+        "partition-length", worst <= 1e-6, f"finest-partition length error {worst:.3e}"
+    )
+
+
+SUITES = [
+    (verify.suite_tau_consistency, _tau_consistency),
+    (verify.suite_reverse_triangle, _reverse_triangle),
+    (verify.suite_planar_bound, _planar_bound),
+    (verify.suite_interpolation, _interpolation),
+    (verify.suite_partition_length, _partition_length),
+]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_suites_match_scalar_draw_loops(seed, monkeypatch):
+    # Besides the results, compare every pair the suites pass to tau: the
+    # details print 4 digits, and some read 0 whatever the draws are.
+    calls = []
+
+    def recording(a, b, tau=causality.tau):
+        calls.append((a, b))
+        return tau(a, b)
+
+    for module in (causality, verify, sys.modules[__name__]):
+        monkeypatch.setattr(module, "tau", recording)
+    for batched, looped in SUITES:
+        calls.clear()
+        result = batched(seed)
+        batched_calls = list(calls)
+        calls.clear()
+        assert result == looped(seed)
+        assert batched_calls == calls
