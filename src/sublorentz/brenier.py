@@ -22,6 +22,10 @@ The reverse problem swaps min for max,
 
 and its gradient, pushed through the same exponential step with the
 opposite sign, walks each target atom back to its source.
+
+At the atoms the branch tables are rows of the LP's CostMatrix, psi -
+values[i] at source atom i and phi + values[:, j] at target atom j; a
+branch is in the domain where its gain is > 0, exactly where tau is.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causality import CausalRelation, classify, tau
+from .causality import tau
 from .errors import (
     DomainViolation,
     NondifferentiableAt,
@@ -39,16 +43,9 @@ from .errors import (
     OutOfDomain,
     SingularJacobian,
 )
-from .heisenberg import (
-    CoordCovector,
-    FrameCovector,
-    GroupPoint,
-    coord_to_frame,
-    energy,
-    sup_distance,
-)
+from .heisenberg import FrameCovector, GroupPoint, energy, sup_distance
 from .geodesics import exp_map, flow, log_map
-from .transport import CostParams, DiscreteMeasure, DualPotentials
+from .transport import CostMatrix, CostParams, DiscreteMeasure, DualPotentials
 
 DEFAULT_TIE_TOL = 1e-9
 DEFAULT_FD_STEP = 1e-5
@@ -69,31 +66,37 @@ def potential_from_duals(
     return SemiDiscretePotential(tuple(nu.atoms), np.asarray(duals.psi, float), params)
 
 
-def _branch_values(pot: SemiDiscretePotential, q: GroupPoint) -> np.ndarray:
-    vals = np.empty(len(pot.target_atoms))
-    for j, y in enumerate(pot.target_atoms):
-        if classify(q, y) is not CausalRelation.CHRONOLOGICAL:
-            raise DomainViolation(
-                f"{q!r} does not chronologically precede target atom {j}"
-            )
-        vals[j] = pot.psi[j] - pot.params.gain(tau(q, y))
-    return vals
+def _pick_branch(offsets: np.ndarray, gains: np.ndarray, where, outside: str) -> int:
+    """Index of the least branch offsets - gains, given one gain per branch.
 
-
-def _clear_argmin(vals: np.ndarray, where) -> int:
-    """Index of the smallest value; NondifferentiableAt, naming where, when
-    the runner-up is within DEFAULT_TIE_TOL of it."""
+    DomainViolation outside.format(where=where, k=k) at the first k whose
+    gain is not > 0 (not chronological); NondifferentiableAt, naming where,
+    when the runner-up is within DEFAULT_TIE_TOL, scaled like the gains in
+    solve_max_transport: by the power of two that brings a largest gain
+    below 1 into [1, 2).
+    """
+    inside = gains > 0.0
+    if not inside.all():
+        raise DomainViolation(outside.format(where=where, k=int(np.argmin(inside))))
+    vals = offsets - gains
     k = int(np.argmin(vals))
     if len(vals) > 1:
         margin = float(np.partition(vals, 1)[1] - vals[k])
-        if margin <= DEFAULT_TIE_TOL:
+        top = float(gains.max())
+        tol = math.ldexp(DEFAULT_TIE_TOL, math.frexp(top)[1] - 1) if top < 1.0 else DEFAULT_TIE_TOL
+        if margin <= tol:
             raise NondifferentiableAt(f"branches tie within {margin:.3e} at {where}")
     return k
 
 
+_PRECEDES = "{where!r} does not chronologically precede target atom {k}"
+
+
 def active_branch(pot: SemiDiscretePotential, q: GroupPoint) -> int:
-    """Index of the minimizing branch; NondifferentiableAt on numerical ties."""
-    return _clear_argmin(_branch_values(pot, q), q)
+    """Index of the minimizing branch at any point q, from scalar tau calls;
+    DomainViolation off the domain, NondifferentiableAt on numerical ties."""
+    gains = np.array([pot.params.gain(tau(q, y)) for y in pot.target_atoms])
+    return _pick_branch(pot.psi, gains, q, _PRECEDES)
 
 
 def _central_diff(f, q: GroupPoint) -> np.ndarray:
@@ -120,29 +123,11 @@ def _gain_gradient(lam0: FrameCovector, cov: FrameCovector, p: float) -> FrameCo
     return FrameCovector(-s * cov.hX, -s * cov.hY, -s * cov.hZ)
 
 
-def potential_gradient(pot: SemiDiscretePotential, q: GroupPoint, method: str = "fd") -> FrameCovector:
-    """Gradient of the potential at q as a frame covector based at q.
-
-    method="fd": central finite differences of the active branch in
-    exponential coordinates, converted to frame components.  method="analytic":
-    the closed form -tau^(p-2) log_map(q, y*) on the active branch.  The two
-    agree to well below 1e-6 wherever the branch margin is healthy; tests
-    hold them against each other.
-    """
-    j_star = active_branch(pot, q)
-    y = pot.target_atoms[j_star]
-    if method == "analytic":
-        lam = log_map(q, y)
-        return _gain_gradient(lam, lam, pot.params.p)
-    if method != "fd":
-        raise ValueError(f"unknown gradient method {method!r}")
-
-    psi_j = float(pot.psi[j_star])
-
-    def branch(point: GroupPoint) -> float:
-        return psi_j - pot.params.gain(tau(point, y))
-
-    return coord_to_frame(q, CoordCovector(*_central_diff(branch, q).tolist()))
+def potential_gradient(pot: SemiDiscretePotential, q: GroupPoint) -> FrameCovector:
+    """Gradient of the potential at q as a frame covector based at q: the closed
+    form -tau^(p-2) log_map(q, y*) on the branch y* that active_branch picks."""
+    lam = log_map(q, pot.target_atoms[active_branch(pot, q)])
+    return _gain_gradient(lam, lam, pot.params.p)
 
 
 @dataclass(frozen=True)
@@ -211,39 +196,53 @@ def _map_atoms(atoms, step) -> TransportMapResult:
     return TransportMapResult(tuple(samples), tuple(mapped), tuple(skipped))
 
 
+def _check_shape(cost: CostMatrix, n: int, m: int) -> None:
+    if cost.values.shape != (n, m):
+        raise ValueError(f"cost matrix of shape {cost.values.shape} for {n} sources and {m} targets")
+
+
 def transport_map_from_duals(
-    mu: DiscreteMeasure, pot: SemiDiscretePotential, method: str = "fd"
+    mu: DiscreteMeasure, pot: SemiDiscretePotential, cost: CostMatrix
 ) -> TransportMapResult:
     """Brenier map samples for every source atom where the potential is
     differentiable; atoms with tied branches or without a timelike gradient
-    are reported in skipped rather than guessed at."""
-    return _map_atoms(
-        mu.atoms, lambda i, x: brenier_map(x, potential_gradient(pot, x, method), pot.params)
-    )
+    are reported in skipped rather than guessed at.
+
+    cost is the CostMatrix of mu against pot's target atoms; the branch
+    table at source atom i is psi - cost.values[i], on the branches of gain
+    > 0 (the chronological ones).
+    """
+    _check_shape(cost, len(mu.atoms), len(pot.target_atoms))
+
+    def step(i: int, x: GroupPoint) -> MapSample:
+        j = _pick_branch(pot.psi, cost.values[i], x, _PRECEDES)
+        lam = log_map(x, pot.target_atoms[j])
+        return brenier_map(x, _gain_gradient(lam, lam, pot.params.p), pot.params)
+
+    return _map_atoms(mu.atoms, step)
 
 
 def backward_map_from_duals(
-    nu: DiscreteMeasure, phi_values, source_atoms, params: CostParams
+    nu: DiscreteMeasure, phi_values, source_atoms, params: CostParams, cost: CostMatrix
 ) -> TransportMapResult:
     """Reverse Brenier map built from the max-form potential
     chi(y) = max_i(phi_i + c_p(x_i, y)); walks target atoms back to sources.
 
+    cost is the CostMatrix of source_atoms against nu; the branch table at
+    target atom j is phi + cost.values[:, j], on the branches of gain > 0.
     The gradient of the active branch is -T^(p-2) times the geodesic's
     endpoint covector, and the exponential step uses the opposite sign from
     the forward map (+D / scale), which reverses the connecting geodesic.
     """
     phi = np.asarray(phi_values, float)
     sources = tuple(GroupPoint(*a) for a in source_atoms)
+    _check_shape(cost, len(sources), len(nu.atoms))
 
     def step(j: int, y: GroupPoint) -> MapSample:
-        vals = np.empty(len(sources))
-        for i, x in enumerate(sources):
-            if classify(x, y) is not CausalRelation.CHRONOLOGICAL:
-                raise DomainViolation(f"target atom {j} is not chronologically after source {i}")
-            vals[i] = phi[i] + params.gain(tau(x, y))
-        # the argmax of vals is the argmin of -vals, and negation is exact,
-        # so the tie margin is the same number either way
-        x = sources[_clear_argmin(-vals, f"target atom {j}")]
+        # the argmax of phi + gains is the argmin of -phi - gains, and
+        # negation is exact, so the tie margin is the same number either way
+        where = f"target atom {j}"
+        x = sources[_pick_branch(-phi, cost.values[:, j], where, "{where} is not chronologically after source {k}")]
         lam0 = log_map(x, y)
         return _map_step(y, _gain_gradient(lam0, flow(x, lam0, 1.0).cov, params.p), params, +1)
 

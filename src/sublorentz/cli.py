@@ -270,7 +270,7 @@ def cmd_brenier(args) -> int:
     plan, _ = solve_cost_matrix(cm, mu.weights, nu.weights)
     duals = strengthen_duals(plan, cm)
     pot = potential_from_duals(duals, nu, params)
-    result = transport_map_from_duals(mu, pot, method="analytic")
+    result = transport_map_from_duals(mu, pot, cm)
     print(f"mapped {len(result.mapped)} of {len(mu.atoms)} atoms")
     for idx, reason in result.skipped:
         print(f"skipped {idx} {reason}")

@@ -243,11 +243,11 @@ def suite_brenier_roundtrip(seed: int) -> SuiteResult:
         plan, _ = solve_cost_matrix(cm, mu.weights, nu.weights)
         duals = strengthen_duals(plan, cm)
         pot = potential_from_duals(duals, nu, params)
-        fwd = transport_map_from_duals(mu, pot, method="analytic")
+        fwd = transport_map_from_duals(mu, pot, cm)
         assigned = {i: j for i, j in plan.support()}
         for i, s in zip(fwd.mapped, fwd.samples):
             worst_target = max(worst_target, sup_distance(s.image, nu.atoms[assigned[i]]))
-        bwd = backward_map_from_duals(nu, duals.phi, mu.atoms, params)
+        bwd = backward_map_from_duals(nu, duals.phi, mu.atoms, params, cm)
         worst_round = max(worst_round, inverse_roundtrip_check(fwd, bwd))
     ok = worst_target <= 1e-6 and worst_round <= 1e-6
     return SuiteResult(
@@ -278,7 +278,7 @@ def suite_interpolation(seed: int) -> SuiteResult:
     plan, _ = solve_cost_matrix(cm, mu.weights, nu.weights)
     duals = strengthen_duals(plan, cm)
     pot = potential_from_duals(duals, nu, params)
-    fwd = transport_map_from_duals(mu, pot, method="analytic")
+    fwd = transport_map_from_duals(mu, pot, cm)
     worst_measure = 0.0
     if len(fwd.mapped) == len(mu.atoms):
         ell = (params.p * plan.value) ** (1.0 / params.p)

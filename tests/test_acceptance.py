@@ -3,10 +3,11 @@
 Each criterion is one test with its tolerances written literally, so a
 `pytest -v tests/test_acceptance.py` run reads as a pass/fail checklist.
 Oracles are recomputed here from scratch (brute-force permutation search,
-analytic densities) rather than imported from the library, with one
-exception: criterion 2 integrates the geodesic equations with verify's
+analytic densities) rather than imported from the library, with two
+exceptions: criterion 2 integrates the geodesic equations with verify's
 fixed-step RK4 (`_rk4_flows`), which shares no code with the closed-form
-flow it checks.
+flow it checks, and criterion 7 takes the potential's gradient by central
+differences (`test_brenier.fd_transport_map`), not by its closed form.
 """
 
 import math
@@ -60,6 +61,8 @@ from sublorentz.transport import (
     strengthen_duals,
 )
 from sublorentz.verify import _rk4_flows
+
+from test_brenier import fd_transport_map
 
 P = CostParams(0.5)
 
@@ -212,15 +215,16 @@ def test_criterion_07_brenier_map_and_inverse():
     for seed in range(20):
         mu, nu = sample_chronological_pair(6, 6, seed=seed, weights="uniform")
         plan, _ = solve_kantorovich(mu, nu, P)
-        duals = strengthen_duals(plan, cost_matrix(mu, nu, P))
+        cm = cost_matrix(mu, nu, P)
+        duals = strengthen_duals(plan, cm)
         pot = potential_from_duals(duals, nu, P)
-        fwd = transport_map_from_duals(mu, pot, method="fd")
+        fwd = fd_transport_map(mu, pot)
         assert len(fwd.mapped) == 6, f"seed {seed} left atoms unmapped: {fwd.skipped}"
         assignment = {i: j for i, j in plan.support()}
         for idx, sample in zip(fwd.mapped, fwd.samples):
             target = nu.atoms[assignment[idx]]
             worst_map = max(worst_map, sup_distance(sample.image, target))
-        back = backward_map_from_duals(nu, duals.phi, mu.atoms, P)
+        back = backward_map_from_duals(nu, duals.phi, mu.atoms, P, cm)
         assert len(back.mapped) == 6
         worst_round = max(worst_round, inverse_roundtrip_check(fwd, back))
     print(
@@ -248,9 +252,10 @@ def test_criterion_08_displacement_interpolation():
 
     mu, nu = sample_chronological_pair(5, 5, seed=1, weights="uniform")
     plan, _ = solve_kantorovich(mu, nu, P)
-    duals = strengthen_duals(plan, cost_matrix(mu, nu, P))
+    cm = cost_matrix(mu, nu, P)
+    duals = strengthen_duals(plan, cm)
     pot = potential_from_duals(duals, nu, P)
-    fwd = transport_map_from_duals(mu, pot, method="analytic")
+    fwd = transport_map_from_duals(mu, pot, cm)
     assert len(fwd.mapped) == 5
     ell_full = lorentz_wasserstein(mu, nu, P)
     w = np.full(5, 0.2)
@@ -345,7 +350,7 @@ def test_criterion_10_monge_ampere():
         pot = potential_from_duals(duals, nu, P)
 
         def pot_grad(q):
-            return potential_gradient(pot, q, method="analytic")
+            return potential_gradient(pot, q)
 
         for tt in (0.25, 0.5, 0.75):
             rep = monge_ampere_residual(pot_grad, mu.atoms, tt, one, one, P)

@@ -2,12 +2,16 @@
 variables."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from sublorentz.brenier import (
     MapSample,
+    SemiDiscretePotential,
+    _central_diff,
+    _map_atoms,
     active_branch,
     backward_map_from_duals,
     brenier_map,
@@ -18,8 +22,9 @@ from sublorentz.brenier import (
     potential_gradient,
     transport_map_from_duals,
 )
-from sublorentz.causality import tau
+from sublorentz.causality import CausalRelation, classify, tau
 from sublorentz.errors import (
+    DomainViolation,
     NondifferentiableAt,
     NotTimelikeGradient,
     OutOfDomain,
@@ -27,21 +32,44 @@ from sublorentz.errors import (
 from sublorentz.geodesics import log_map
 from sublorentz.heisenberg import (
     IDENTITY,
+    CoordCovector,
     FrameCovector,
     GroupPoint,
+    coord_to_frame,
     energy,
     sup_distance,
 )
 from sublorentz.measures_io import sample_chronological_pair
 from sublorentz.transport import (
+    CostMatrix,
     CostParams,
     DiscreteMeasure,
     cost_matrix,
+    solve_cost_matrix,
     solve_kantorovich,
     strengthen_duals,
 )
 
 P = CostParams(0.5)
+
+
+def fd_gradient(pot, q):
+    """Finite-difference oracle for potential_gradient: central differences
+    of the active branch psi_j - gain(tau(., y_j)) in exponential
+    coordinates, converted to frame components."""
+    j = active_branch(pot, q)
+    psi_j, y = float(pot.psi[j]), pot.target_atoms[j]
+
+    def branch(point):
+        return psi_j - pot.params.gain(tau(point, y))
+
+    return coord_to_frame(q, CoordCovector(*_central_diff(branch, q).tolist()))
+
+
+def fd_transport_map(mu, pot):
+    """transport_map_from_duals with the gradient of fd_gradient: brenier_map
+    of the oracle's gradient at every source atom, with the same skips."""
+    return _map_atoms(mu.atoms, lambda i, x: brenier_map(x, fd_gradient(pot, x), pot.params))
 
 
 def _solved_instance(n, seed):
@@ -68,8 +96,8 @@ def test_potential_gradient_fd_matches_analytic():
     pot = potential_from_duals(duals, nu, P)
     for x in mu.atoms:
         try:
-            g_fd = potential_gradient(pot, x, method="fd")
-            g_an = potential_gradient(pot, x, method="analytic")
+            g_fd = fd_gradient(pot, x)
+            g_an = potential_gradient(pot, x)
         except NondifferentiableAt:
             continue
         assert abs(g_fd.hX - g_an.hX) <= 1e-6
@@ -108,7 +136,7 @@ def test_brenier_map_step_past_cosh_range_is_a_typed_error():
 def test_forward_map_hits_plan_targets():
     mu, nu, plan, duals = _solved_instance(6, seed=7)
     pot = potential_from_duals(duals, nu, P)
-    result = transport_map_from_duals(mu, pot, method="analytic")
+    result = transport_map_from_duals(mu, pot, cost_matrix(mu, nu, P))
     assignment = {i: j for i, j in plan.support()}
     for idx, sample in zip(result.mapped, result.samples):
         target = nu.atoms[assignment[idx]]
@@ -118,8 +146,8 @@ def test_forward_map_hits_plan_targets():
 def test_forward_map_fd_agrees_with_analytic():
     mu, nu, plan, duals = _solved_instance(4, seed=12)
     pot = potential_from_duals(duals, nu, P)
-    r_fd = transport_map_from_duals(mu, pot, method="fd")
-    r_an = transport_map_from_duals(mu, pot, method="analytic")
+    r_fd = fd_transport_map(mu, pot)
+    r_an = transport_map_from_duals(mu, pot, cost_matrix(mu, nu, P))
     assert r_fd.mapped == r_an.mapped
     for a, b in zip(r_fd.samples, r_an.samples):
         assert sup_distance(a.image, b.image) <= 1e-5
@@ -136,7 +164,7 @@ def test_split_atom_is_skipped_not_guessed():
     cm = cost_matrix(mu, nu, P)
     duals = strengthen_duals(plan, cm)
     pot = potential_from_duals(duals, nu, P)
-    result = transport_map_from_duals(mu, pot)
+    result = transport_map_from_duals(mu, pot, cm)
     assert result.mapped == ()
     assert len(result.skipped) == 1
     assert "NondifferentiableAt" in result.skipped[0][1]
@@ -153,14 +181,15 @@ def test_backward_map_skips_ties_and_targets_outside_the_domain():
     nu = DiscreteMeasure((GroupPoint(2.0, 0.0, 0.0),), np.array([1.0]))
     plan, _ = solve_kantorovich(mu, nu, P)
     duals = strengthen_duals(plan, cost_matrix(mu, nu, P))
-    result = backward_map_from_duals(nu, duals.phi, mu.atoms, P)
+    result = backward_map_from_duals(nu, duals.phi, mu.atoms, P, cost_matrix(mu, nu, P))
     assert result.mapped == ()
     assert len(result.skipped) == 1
     assert result.skipped[0][1].startswith("NondifferentiableAt: branches tie within")
     assert result.skipped[0][1].endswith("at target atom 0")
     # a target that does not lie after every source is outside the domain
     sources = (GroupPoint(0.0, 0.0, 0.0), GroupPoint(3.0, 0.0, 0.0))
-    result = backward_map_from_duals(nu, [0.0, 0.0], sources, P)
+    cm = cost_matrix(DiscreteMeasure(sources, np.array([0.5, 0.5])), nu, P)
+    result = backward_map_from_duals(nu, [0.0, 0.0], sources, P, cm)
     assert result.skipped == (
         (0, "DomainViolation: target atom 0 is not chronologically after source 1"),
     )
@@ -168,7 +197,7 @@ def test_backward_map_skips_ties_and_targets_outside_the_domain():
 
 def test_backward_map_returns_to_sources():
     mu, nu, plan, duals = _solved_instance(5, seed=21)
-    back = backward_map_from_duals(nu, duals.phi, mu.atoms, P)
+    back = backward_map_from_duals(nu, duals.phi, mu.atoms, P, cost_matrix(mu, nu, P))
     assignment = {j: i for i, j in plan.support()}
     for idx, sample in zip(back.mapped, back.samples):
         source = mu.atoms[assignment[idx]]
@@ -178,10 +207,85 @@ def test_backward_map_returns_to_sources():
 def test_roundtrip_forward_then_backward():
     mu, nu, plan, duals = _solved_instance(6, seed=30)
     pot = potential_from_duals(duals, nu, P)
-    fwd = transport_map_from_duals(mu, pot, method="analytic")
-    back = backward_map_from_duals(nu, duals.phi, mu.atoms, P)
+    cm = cost_matrix(mu, nu, P)
+    fwd = transport_map_from_duals(mu, pot, cm)
+    back = backward_map_from_duals(nu, duals.phi, mu.atoms, P, cm)
     assert fwd.mapped and back.mapped
     assert inverse_roundtrip_check(fwd, back) <= 1e-6
+
+
+def _scalar_cost(sources, targets):
+    """The branch gains as the maps once computed them for themselves: one
+    scalar classify and tau call per pair, zero off the chronological pairs."""
+    values = np.zeros((len(sources), len(targets)))
+    for i, x in enumerate(sources):
+        for j, y in enumerate(targets):
+            if classify(x, y) is CausalRelation.CHRONOLOGICAL:
+                values[i, j] = P.gain(tau(x, y))
+    return CostMatrix(values, values > 0.0)
+
+
+@pytest.mark.parametrize("n", [6, 30, 100])
+def test_maps_off_the_cost_matrix_match_the_scalar_branch_table(n):
+    # the gains cost_matrix broadcasts pick the same branches as scalar
+    # ones; only the printed tie margins may differ in their last digits
+    def masked(result):
+        return [(k, re.sub(r"within \S+ at", "within # at", reason)) for k, reason in result.skipped]
+
+    for seed in range(2):
+        for weights in ("uniform", "random"):
+            mu, nu = sample_chronological_pair(n, n, seed=seed, weights=weights)
+            cm = cost_matrix(mu, nu, P)
+            plan, _ = solve_cost_matrix(cm, mu.weights, nu.weights)
+            duals = strengthen_duals(plan, cm)
+            pot = potential_from_duals(duals, nu, P)
+            ref = _scalar_cost(mu.atoms, nu.atoms)
+            for build in (
+                lambda cost: transport_map_from_duals(mu, pot, cost),
+                lambda cost: backward_map_from_duals(nu, duals.phi, mu.atoms, P, cost),
+            ):
+                got, want = build(cm), build(ref)
+                assert got.mapped == want.mapped
+                assert got.samples == want.samples
+                assert masked(got) == masked(want)
+
+
+def test_maps_check_the_domain_and_the_cost_matrix_shape():
+    mu = DiscreteMeasure((GroupPoint(0.0, 0.0, 0.0), GroupPoint(3.0, 0.0, 0.0)), np.array([0.5, 0.5]))
+    nu = DiscreteMeasure((GroupPoint(2.0, 0.0, 0.0),), np.array([1.0]))
+    pot = SemiDiscretePotential(nu.atoms, np.zeros(1), P)
+    result = transport_map_from_duals(mu, pot, cost_matrix(mu, nu, P))
+    reason = "GroupPoint(x=3.0, y=0.0, z=0.0) does not chronologically precede target atom 0"
+    assert result.mapped == (0,)
+    assert result.skipped == ((1, "DomainViolation: " + reason),)
+    with pytest.raises(DomainViolation, match=re.escape(reason)):
+        potential_gradient(pot, mu.atoms[1])
+    with pytest.raises(ValueError):
+        transport_map_from_duals(mu, pot, cost_matrix(nu, nu, P))
+    with pytest.raises(ValueError):
+        backward_map_from_duals(nu, [0.0, 0.0], mu.atoms, P, cost_matrix(nu, mu, P))
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-16])
+def test_dilated_maps_keep_every_atom(lam):
+    # delta_lam scales every gain and potential by lam^p; with an absolute
+    # tie tolerance of 1e-9 the forward map kept 2 and the backward map 1 of
+    # these 6 atoms at lam = 1e-12, and none at 1e-16
+    def dilate(measure):
+        atoms = tuple(GroupPoint(lam * q.x, lam * q.y, lam * lam * q.z) for q in measure.atoms)
+        return DiscreteMeasure(atoms, measure.weights)
+
+    mu, nu = map(dilate, sample_chronological_pair(6, 6, seed=3, weights="uniform"))
+    cm = cost_matrix(mu, nu, P)
+    plan, _ = solve_cost_matrix(cm, mu.weights, nu.weights)
+    duals = strengthen_duals(plan, cm)
+    fwd = transport_map_from_duals(mu, potential_from_duals(duals, nu, P), cm)
+    back = backward_map_from_duals(nu, duals.phi, mu.atoms, P, cm)
+    assert len(fwd.mapped) == len(back.mapped) == 6
+    assignment = dict(plan.support())
+    for idx, sample in zip(fwd.mapped, fwd.samples):
+        assert sup_distance(sample.image, nu.atoms[assignment[idx]]) <= 1e-6 * lam
+    assert inverse_roundtrip_check(fwd, back) <= 1e-6 * lam
 
 
 def test_interpolation_runs_at_constant_speed():

@@ -1,5 +1,9 @@
 """The array causality kernels against the scalar ones, and the dilation
-that the relative slack of the cone test keeps chronological."""
+that the relative slack of the cone test keeps chronological.
+
+The Brenier maps take a pair's branch to be in their domain where its gain
+in the cost matrix is > 0, so these tests also hold that tau, and the gain,
+are positive exactly on the chronological pairs."""
 
 import numpy as np
 import pytest
@@ -41,7 +45,7 @@ def _family(rng, n, scale, shift):
 
 def _families():
     """Atom families at scales 1e-3..1e3 with n != m, 1 x k and k x 1 shapes,
-    duplicate atoms and plenty of unrelated pairs."""
+    duplicate atoms and plenty of unrelated pairs, then at 1e-100 and 1e100."""
     rng = np.random.default_rng(20)
     out = []
     for scale in (1e-3, 1e-2, 1.0, 37.0, 1e3):
@@ -50,6 +54,8 @@ def _families():
     out.append((_family(rng, 12, 1.0, 0.0), _family(rng, 1, 1.0, 1.5)))
     mu = _family(rng, 8, 1.0, 0.0)
     out.append((mu, np.concatenate([mu[::2], _family(rng, 5, 1.0, 1.5)])))
+    for scale in (1e-100, 1e100):
+        out.append((_family(rng, 9, scale, 0.0), _family(rng, 14, scale, 1.5)))
     return out
 
 
@@ -60,6 +66,7 @@ def test_array_kernels_match_scalar_kernels(k):
     t, feasible = tau_array(mu[:, None], nu[None, :])
     assert chron.shape == causal.shape == t.shape == (len(mu), len(nu))
     np.testing.assert_array_equal(causal, feasible)
+    np.testing.assert_array_equal(t > 0.0, chron)
     kinds = set()
     for i, a in enumerate(map(GroupPoint._make, mu)):
         for j, b in enumerate(map(GroupPoint._make, nu)):
@@ -68,6 +75,7 @@ def test_array_kernels_match_scalar_kernels(k):
             assert chron[i, j] == (rel is CausalRelation.CHRONOLOGICAL)
             assert causal[i, j] == (rel is not CausalRelation.UNRELATED)
             want = tau(a, b)
+            assert (want > 0.0) == (rel is CausalRelation.CHRONOLOGICAL)
             if want == 0.0 or _null_distance(group_difference(a, b)) <= NULL_BAND:
                 assert (t[i, j] == 0.0) == (want == 0.0)
             else:
@@ -83,11 +91,13 @@ def test_cost_matrix_matches_scalar_gains():
             DiscreteMeasure(tuple(map(GroupPoint._make, nu)), np.full(len(nu), 1.0 / len(nu))),
             params,
         )
+        np.testing.assert_array_equal(cm.values > 0.0, classify_array(mu[:, None], nu[None, :])[0])
         for i, a in enumerate(map(GroupPoint._make, mu)):
             for j, b in enumerate(map(GroupPoint._make, nu)):
                 rel = classify(a, b)
                 assert cm.feasible[i, j] == (rel is not CausalRelation.UNRELATED)
                 want = params.gain(tau(a, b))
+                assert (want > 0.0) == (rel is CausalRelation.CHRONOLOGICAL)
                 if _null_distance(group_difference(a, b)) > NULL_BAND:
                     assert cm.values[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
 

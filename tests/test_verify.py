@@ -145,7 +145,7 @@ def _interpolation(seed):
     plan, _ = solve_cost_matrix(cm, mu.weights, nu.weights)
     duals = strengthen_duals(plan, cm)
     pot = potential_from_duals(duals, nu, params)
-    fwd = transport_map_from_duals(mu, pot, method="analytic")
+    fwd = transport_map_from_duals(mu, pot, cm)
     worst_measure = 0.0
     if len(fwd.mapped) == len(mu.atoms):
         ell = (params.p * plan.value) ** (1.0 / params.p)
