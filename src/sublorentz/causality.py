@@ -26,7 +26,9 @@ covers every pair of two atom families.  Both apply ``cone_state`` to
 ``heisenberg.group_difference``, which takes arrays too, so their masks
 agree bit for bit.  ``beta_array`` is the scalar safeguarded Newton iteration run
 on the entries that have not converged yet; numpy's sinh and cosh may differ
-from the math module's in the last bit, so values agree to roundoff.
+from the math module's in the last bit, so values agree to roundoff.  In
+both, the bracket test's evaluation of alpha at 8|zeta| is the first Newton
+point, so alpha is evaluated once per point.
 
 Only the array kernels import numpy, inside their bodies, so the scalar
 layers (this module, ``heisenberg``, ``geodesics``) load without it.
@@ -153,9 +155,10 @@ _BETA_HI_CAP = 64.0  # alpha(64) is within 1e-50 of 1/4; no double below 1/4 nee
 def beta(zeta: float) -> float:
     """Inverse of alpha on (-1/4, 1/4).
 
-    Safeguarded Newton iteration: steps that leave the current bracket fall
-    back to bisection, so convergence is unconditional.  Raises OutOfDomain
-    for |zeta| >= 1/4.
+    Safeguarded Newton iteration from 8|zeta|, where the bracket test's
+    alpha is the first Newton point, so alpha is evaluated once per point.
+    Steps that leave the current bracket fall back to bisection, so
+    convergence is unconditional.  Raises OutOfDomain for |zeta| >= 1/4.
     """
     if not abs(zeta) < 0.25:
         raise OutOfDomain(f"beta requires |zeta| < 1/4, got {zeta!r}")
@@ -165,15 +168,19 @@ def beta(zeta: float) -> float:
     target = abs(zeta)
 
     lo = 0.0
-    hi = max(8.0 * target, 1e-8)
-    while alpha(hi) < target:
+    b = 8.0 * target
+    hi = b if b > 1e-8 else 1e-8  # max(b, 1e-8), without the cost of a builtin call
+    # Below the floor (8|zeta| < 1e-8) alpha(b) ~ 4|zeta|/3 and alpha(hi) both
+    # reach |zeta|, so the bracket test at b grows the same brackets as at hi.
+    a, df = _alpha_pair(b)
+    grow = a < target
+    while grow:
         hi *= 2.0
         if hi > _BETA_HI_CAP:
             break
+        grow = _alpha_pair(hi)[0] < target
 
-    b = min(8.0 * target, hi)
     for _ in range(_BETA_MAX_ITER):
-        a, df = _alpha_pair(b)
         f = a - target
         if abs(f) <= _BETA_TOL:
             break
@@ -183,8 +190,9 @@ def beta(zeta: float) -> float:
             lo = b
         nb = b - f / df if df > 0.0 else lo
         b = nb if lo < nb < hi else 0.5 * (lo + hi)
-        if hi - lo <= 1e-16 * max(1.0, hi):
+        if hi - lo <= 1e-16 * (hi if hi > 1.0 else 1.0):
             break
+        a, df = _alpha_pair(b)
     return sign * b
 
 
@@ -210,8 +218,8 @@ def beta_array(zeta) -> np.ndarray:
     """:func:`beta` on every entry of an array.
 
     The same bracket growth, Newton steps, bisection fallback and stop rules
-    as the scalar iteration; each round works only on the entries that have
-    not stopped yet.
+    as the scalar iteration, with the bracket test as the first Newton round;
+    each round works only on the entries that have not stopped yet.
     """
     import numpy as np
 
@@ -221,19 +229,17 @@ def beta_array(zeta) -> np.ndarray:
     out = np.zeros(zeta.size)
     at = np.flatnonzero(zeta)
     target = np.abs(zeta.ravel()[at])
-    hi = np.maximum(8.0 * target, 1e-8)
-    grow = np.arange(at.size)
+    b = 8.0 * target
+    hi = np.maximum(b, 1e-8)  # as in beta, floored entries pass the bracket test at b
+    a, da = _alpha_terms(b)
+    grow = np.flatnonzero(a < target)
     while grow.size:
-        grow = grow[_alpha_terms(hi[grow])[0] < target[grow]]
         hi[grow] *= 2.0
         grow = grow[hi[grow] <= _BETA_HI_CAP]
+        grow = grow[_alpha_terms(hi[grow])[0] < target[grow]]
 
-    b = np.minimum(8.0 * target, hi)
     lo = np.zeros_like(b)
     for _ in range(_BETA_MAX_ITER):
-        if not at.size:
-            break
-        a, da = _alpha_terms(b)
         f = a - target
         done = np.abs(f) <= _BETA_TOL
         over = f > 0.0
@@ -248,6 +254,9 @@ def beta_array(zeta) -> np.ndarray:
             out[at[done]] = b[done]
             go = ~done
             at, target, b, lo, hi = at[go], target[go], b[go], lo[go], hi[go]
+        if not at.size:
+            break
+        a, da = _alpha_terms(b)
     out[at] = b
     return np.copysign(out.reshape(zeta.shape), zeta)
 

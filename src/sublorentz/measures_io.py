@@ -128,7 +128,7 @@ def sample_diamond(q0: GroupPoint, q1: GroupPoint, n: int, rng, max_tries: int =
             classify_array(IDENTITY, part)[0] & classify_array(part, apex)[0]
             for part in np.split(draws, range(1 << 16, chunk, 1 << 16))
         ])
-        for row in draws[keep]:
+        for row in draws[keep].tolist():  # Python floats: the scalar kernels run faster on them
             if len(out) == n:
                 break
             out.append(mul(q0, GroupPoint(*row)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sublorentz import causality
 from sublorentz.causality import (
     CausalRelation,
     PlanarPoint,
@@ -98,6 +99,86 @@ def test_beta_domain_boundary():
     with pytest.raises(OutOfDomain):
         beta(-0.3)
     assert beta(0.2499) > 0.0
+
+
+def reference_beta(zeta):
+    """The safeguarded Newton loop that evaluated alpha twice at 8|zeta|:
+    once in the bracket test, once more as the first Newton point."""
+    if zeta == 0.0:
+        return 0.0
+    sign = 1.0 if zeta > 0.0 else -1.0
+    target = abs(zeta)
+    lo = 0.0
+    hi = max(8.0 * target, 1e-8)
+    while causality.alpha(hi) < target:
+        hi *= 2.0
+        if hi > causality._BETA_HI_CAP:
+            break
+    b = min(8.0 * target, hi)
+    for _ in range(causality._BETA_MAX_ITER):
+        a, df = causality._alpha_pair(b)
+        f = a - target
+        if abs(f) <= causality._BETA_TOL:
+            break
+        if f > 0.0:
+            hi = b
+        else:
+            lo = b
+        nb = b - f / df if df > 0.0 else lo
+        b = nb if lo < nb < hi else 0.5 * (lo + hi)
+        if hi - lo <= 1e-16 * max(1.0, hi):
+            break
+    return sign * b
+
+
+def beta_families():
+    """Seeded zeta families for each branch of the root solve: uniform, under
+    the 1e-8 floor of the bracket, where the bracket grows (alpha(2) < |zeta|),
+    within 1e-16 of +-1/4 where it grows to just below the cap of 64, and both
+    zeros (compared as bits, so the sign of -0.0 counts)."""
+    rng = np.random.default_rng(15)
+    quarter = np.nextafter(0.25, 0.0) - 2.0**-55 * np.arange(4)  # the doubles within 1e-16 below 1/4
+    sign = rng.choice([-1.0, 1.0], 2000)
+    return {
+        "uniform": rng.uniform(-0.25, 0.25, 20000),
+        "floor": np.concatenate([rng.uniform(-1.25e-9, 1.25e-9, 2000), sign * 10.0 ** rng.uniform(-300, -9, 2000)]),
+        "grow": sign * rng.uniform(0.2214, 0.25, 2000),
+        "cap": np.concatenate([quarter, -quarter]),
+        "zeros": np.array([0.0, -0.0]),
+    }
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("family", list(beta_families()))
+def test_beta_is_bit_identical_to_the_reference_loop(family):
+    zeta = beta_families()[family]
+    got = [beta(float(z)) for z in zeta]
+    want = [reference_beta(float(z)) for z in zeta]
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_beta_evaluates_alpha_once_per_point(monkeypatch):
+    seen = []
+    alpha_pair = causality._alpha_pair
+
+    def record(t):
+        seen.append(t)
+        return alpha_pair(t)
+
+    monkeypatch.setattr(causality, "_alpha_pair", record)
+    for zeta in np.concatenate(list(beta_families().values()))[::7]:
+        seen.clear()
+        beta(float(zeta))
+        assert len(seen) == len(set(seen)), zeta
+    seen.clear()
+    beta(0.1)
+    once = len(seen)
+    seen.clear()
+    reference_beta(0.1)
+    assert once == len(seen) - 1
 
 
 # --- tau --------------------------------------------------------------------

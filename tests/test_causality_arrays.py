@@ -8,6 +8,7 @@ are positive exactly on the chronological pairs."""
 import numpy as np
 import pytest
 
+from sublorentz import causality
 from sublorentz.causality import (
     CausalRelation,
     alpha,
@@ -23,6 +24,8 @@ from sublorentz.causality import (
 from sublorentz.errors import OutOfDomain
 from sublorentz.heisenberg import IDENTITY, GroupPoint, group_difference
 from sublorentz.transport import CostParams, DiscreteMeasure, cost_matrix
+
+from test_causality import beta_families
 
 NULL_BAND = 1e-4  # relative distance |F| / S below which tau is ill-conditioned
 
@@ -129,6 +132,59 @@ def test_beta_array_matches_scalar_beta():
         assert abs(b - want) <= 2.2e-13 / alpha_prime(want)
         assert np.sign(b) == np.sign(z)
     assert beta_array(zeta.reshape(3, 4)).shape == (3, 4)
+
+
+def reference_beta_array(zeta):
+    """The array root solve that evaluated alpha at the bracket's first trial
+    end and again, over every entry, in the first Newton round."""
+    zeta = np.asarray(zeta, float)
+    out = np.zeros(zeta.size)
+    at = np.flatnonzero(zeta)
+    target = np.abs(zeta.ravel()[at])
+    hi = np.maximum(8.0 * target, 1e-8)
+    grow = np.arange(at.size)
+    while grow.size:
+        grow = grow[causality._alpha_terms(hi[grow])[0] < target[grow]]
+        hi[grow] *= 2.0
+        grow = grow[hi[grow] <= causality._BETA_HI_CAP]
+    b = np.minimum(8.0 * target, hi)
+    lo = np.zeros_like(b)
+    for _ in range(causality._BETA_MAX_ITER):
+        if not at.size:
+            break
+        a, da = causality._alpha_terms(b)
+        f = a - target
+        done = np.abs(f) <= causality._BETA_TOL
+        over = f > 0.0
+        hi = np.where(over, b, hi)
+        lo = np.where(over, lo, b)
+        newton = da > 0.0
+        nb = np.where(newton, b - f / np.where(newton, da, 1.0), lo)
+        step = np.where((lo < nb) & (nb < hi), nb, 0.5 * (lo + hi))
+        b = np.where(done, b, step)
+        done |= hi - lo <= 1e-16 * np.maximum(1.0, hi)
+        if done.any():
+            out[at[done]] = b[done]
+            go = ~done
+            at, target, b, lo, hi = at[go], target[go], b[go], lo[go], hi[go]
+    out[at] = b
+    return np.copysign(out.reshape(zeta.shape), zeta)
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 17, 50_000])
+def test_beta_array_is_bit_identical_to_the_reference_loop(size):
+    """Each family alone, then mixes in which only some entries grow their
+    bracket, hit the 1e-8 floor or the cap, so that numpy's SIMD body and
+    tail both see every branch."""
+    rng = np.random.default_rng(size)
+    families = beta_families()
+    pool = np.concatenate(list(families.values()))
+    cases = [rng.choice(f, size) for f in families.values()]
+    cases += [rng.choice(pool, size) for _ in range(4)]
+    cases.append(np.where(rng.random(size) < 0.5, rng.choice(families["uniform"], size), rng.choice(pool, size)))
+    for zeta in cases:
+        np.testing.assert_array_equal(beta_array(zeta).view(np.uint64), reference_beta_array(zeta).view(np.uint64))
+    assert beta_array(np.array([-0.0, 0.0])).view(np.uint64).tolist() == [1 << 63, 0]
 
 
 def test_beta_array_domain():

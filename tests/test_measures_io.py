@@ -145,6 +145,13 @@ def test_sample_diamond_lands_inside():
         assert classify(d, q1) is CausalRelation.CHRONOLOGICAL
 
 
+def test_samplers_return_python_float_coordinates():
+    q0 = GroupPoint(0.1, -0.1, 0.05)
+    mu, nu = sample_chronological_pair(4, 6, seed=8)
+    for pt in sample_diamond(q0, GroupPoint(2.1, -0.1, 0.15), 5, rng=3) + mu.atoms + nu.atoms:
+        assert all(type(v) is float for v in pt), pt
+
+
 def test_sample_diamond_gives_up_gracefully():
     q0 = GroupPoint(0, 0, 0)
     q1 = GroupPoint(2, 0, 0)
