@@ -53,12 +53,14 @@ Design notes:
 A DEBUG record on the "sublorentz" logger reports, per solve, the problem
 size, the pivots, the degenerate pivots (zero step), the pivot after which
 pricing dropped the M part (-1 if it never did) and the stranded mass.
+Until something else has loaded the logging module, nothing can have
+enabled that logger, so the solve does not load it.
 """
 
 from __future__ import annotations
 
-import logging
 import math
+import sys
 
 import numpy as np
 
@@ -69,66 +71,65 @@ _PIVOT_TOL = 1e-12
 _RELAX_TOL = 1e-13
 _MAX_PIVOTS = 200000
 
-_log = logging.getLogger("sublorentz")
-
 
 def longest_path(n_nodes, tail, head, weight):
     """Least pi >= 0 with pi[head] >= pi[tail] + weight on every edge.
 
     tail, head and weight are equal-length arrays of edges over nodes
     0..n_nodes-1.  Jacobi rounds of the Bellman-Ford relaxation raise pi
-    where an edge demands more than 1e-13 above it.  Returns None when the
-    edges carry a positive cycle: after n_nodes + 1 rounds, or as soon as
-    the edges that last raised each node close a cycle heavier than its
-    length times 1e-13 plus a roundoff allowance.  The allowance bounds the
-    rounding of every potential the full rounds could still reach (at most
-    n_nodes + 1 times the largest weight), not just of today's, so no
-    potentials can then satisfy the cycle within the tolerance and the full
-    rounds end in None too.  That bookkeeping starts at round 16, so short
-    searches cost what they did, and the cycle test runs every fourth round.
+    where an edge demands more than 1e-13 above it.  Returns (pi, None), or
+    (None, cycle) when the edges carry a positive cycle: cycle holds the
+    indices of the edges that last raised its nodes, in walk order, so
+    head[cycle[k]] == tail[cycle[k - 1]].  That happens after n_nodes + 1
+    rounds, when the raising edges always close a cycle, or as soon as they
+    close one heavier than its length times 1e-13 plus a roundoff allowance.
+    The allowance bounds the rounding of every potential the full rounds
+    could still reach (at most n_nodes + 1 times the largest weight), not
+    just of today's, so no potentials can then satisfy the cycle within the
+    tolerance and the full rounds end in a cycle too.  That early test starts
+    at round 16 and runs every fourth round, so short searches never pay for
+    it.  Where potentials exceed about 1e3, one ulp exceeds 1e-13, so a cycle
+    of weight 0 can keep raising its nodes by ulps and come back as well.
     """
     # 2|pi| + |weight| + 1 stays below this on every round, so the rounding
     # of one edge's relaxation test is below 1.2e-16 times it
     scale = (2 * n_nodes + 3) * float(np.abs(weight).max(initial=0.0)) + 1.0
     pi = np.zeros(n_nodes)
-    via = np.full(n_nodes, -1)  # edge that last raised each node, from round 16
+    via = np.full(n_nodes, -1)  # edge that last raised each node
     for rounds in range(n_nodes + 1):
         reach = pi[tail] + weight
         need = np.full(n_nodes, -np.inf)
         np.maximum.at(need, head, reach)
         rise = need > pi + _RELAX_TOL
         if not rise.any():
-            return pi
-        if rounds >= 16:
-            hit = np.flatnonzero(rise[head] & (reach == need[head]))
-            via[head[hit]] = hit
+            return pi, None
+        hit = np.flatnonzero(rise[head] & (reach == need[head]))
+        via[head[hit]] = hit
         pi = np.where(rise, need, pi)
-        if rounds >= 16 and rounds % 4 == 3 and _raised_cycle_is_positive(via, tail, weight, scale):
-            return None
-    return None
+        if rounds >= 16 and rounds % 4 == 3:
+            cycle = _raised_cycle(via, tail)
+            w = weight[cycle]
+            allowance = cycle.size * (_RELAX_TOL + 1e-15 * scale) + 1e-15 * float(np.abs(w).sum())
+            if float(w.sum()) > allowance:
+                return None, cycle
+    return None, _raised_cycle(via, tail)
 
 
-def _raised_cycle_is_positive(via, tail, weight, scale):
-    """Whether the raising edges close a cycle of weight above its length
-    times the relaxation tolerance, with allowance for roundoff at
-    magnitudes up to scale."""
+def _raised_cycle(via, tail):
+    """Edges of a cycle that the raising edges close, in walk order; empty
+    when they close none."""
     n = via.size
     up = np.append(np.where(via >= 0, tail[via], n), n)  # node n: no raiser
     for _ in range(max(1, n.bit_length())):
         up = up[up]  # 2^k steps up the raising edges
     cyclic = np.flatnonzero(up[:n] < n)
-    if not cyclic.size:
-        return False
-    start = node = int(up[cyclic[0]])  # at least n steps up: on the cycle
     edges = []
-    while True:
-        edges.append(int(via[node]))
-        node = int(tail[edges[-1]])
-        if node == start:
-            break
-    w = weight[edges]
-    allowance = len(edges) * (_RELAX_TOL + 1e-15 * scale) + 1e-15 * float(np.abs(w).sum())
-    return float(w.sum()) > allowance
+    if cyclic.size:
+        start = node = int(up[cyclic[0]])  # at least n steps up: on the cycle
+        while not edges or node != start:
+            edges.append(int(via[node]))
+            node = int(tail[edges[-1]])
+    return np.array(edges, dtype=int)
 
 
 def solve_max_transport(values, allowed, supplies, demands):
@@ -305,8 +306,9 @@ def solve_max_transport(values, allowed, supplies, demands):
     unshipped = sum(f for f in flow[n_real:n_real + n] if f > _MASS_TOL)
     unmet = sum(f for f, d in zip(flow[n_real + n:], b) if d > 0.0 and f > _MASS_TOL)
     stranded = max(unshipped, unmet)
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug(
+    logging = sys.modules.get("logging")
+    if logging and (log := logging.getLogger("sublorentz")).isEnabledFor(logging.DEBUG):
+        log.debug(
             "solve_max_transport n=%d m=%d pivots=%d degenerate=%d m_flat_at=%d stranded=%.3e",
             n, m, pivots, degenerate, m_flat_at, stranded,
         )
@@ -344,7 +346,7 @@ def solve_max_transport(values, allowed, supplies, demands):
     ca, cb = comp[tails], comp[heads]
     cross = ca != cb
     gain = -cost - (pot[heads] - pot[tails])
-    delta = longest_path(len(children[root]), ca[cross], cb[cross], gain[cross])
+    delta, _ = longest_path(len(children[root]), ca[cross], cb[cross], gain[cross])
     if delta is None:
         raise AssertionError("dual offsets failed to stabilize")
     pot = np.ldexp(pot + delta[comp], scale)

@@ -138,17 +138,23 @@ def strengthen_duals(plan: TransportPlan, cost: CostMatrix) -> DualPotentials:
     beyond the plan's support are tight (degenerate basic arcs).  Potential
     branches then tie at source atoms and gradient-based maps have to skip
     them.  This pass keeps the support equalities (so the pair stays optimal
-    and the duality gap stays at roundoff) and pushes every off-support
-    feasible slack up to roughly half the largest margin the face allows,
-    found by binary search with a longest-path feasibility check.
+    and the duality gap stays at roundoff) and returns the least duals whose
+    off-support feasible slacks are all at least half the largest margin
+    the face allows.
 
-    A margin of zero can be genuinely unimprovable (ties between optimal
-    plans); the returned duals are then the minimal feasible ones.
+    That margin is a minimum cycle ratio on the constraint graph, found by
+    Dinkelbach steps: starting from a cap of 1024, while longest_path finds
+    a positive cycle at the current margin, the margin drops to the one at
+    which that cycle weighs 0.  So the duals are taken at half the exact
+    margin, and at 512 when no cycle limits it.  A margin of zero can be
+    genuinely unimprovable (ties between optimal plans); the returned duals
+    are then the minimal feasible ones.
 
-    The tolerances of the search are absolute.  As in solve_max_transport,
+    The relaxation tolerances are absolute.  As in solve_max_transport,
     when the largest feasible |gain| is below 1 the search runs on the gains
     multiplied by the power of two that brings it into [1, 2), and the
-    potentials are divided by it; gains of 1 or more are used unscaled.
+    potentials are divided by it, so the cap applies to the scaled gains;
+    gains of 1 or more are used unscaled.
     """
     n, m = plan.masses.shape
     on = plan.masses > SUPPORT_TOL
@@ -160,30 +166,18 @@ def strengthen_duals(plan: TransportPlan, cost: CostMatrix) -> DualPotentials:
     tail = np.concatenate([si, n + sj, fi])
     head = np.concatenate([n + sj, si, n + fj])
     gain = np.ldexp(cost.values[si, sj], -scale)
-    bound = np.concatenate([gain, -gain])
-    slack = np.ldexp(cost.values[fi, fj], -scale)
-
-    def solve_margin(margin):
-        # least potentials with pi_v >= pi_u + w on all edges; None when the
-        # constraints carry a positive cycle (margin too large).
-        return longest_path(n + m, tail, head, np.concatenate([bound, slack + margin]))
-
-    if solve_margin(0.0) is None:
-        raise InfeasibleDuals("support equalities admit no feasible duals")
-    lo, hi = 0.0, 1.0
-    while (feasible := solve_margin(hi) is not None) and hi < 1e3:
-        lo = hi
-        hi *= 4.0
-    if not feasible:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if solve_margin(mid) is not None:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-9 + 1e-6 * lo:
-                break
-    pi = np.ldexp(solve_margin(0.5 * lo), scale)
+    weight = np.concatenate([gain, -gain, np.ldexp(cost.values[fi, fj], -scale)])
+    off = np.arange(weight.size) >= 2 * gain.size
+    margin = 1024.0
+    while (cycle := longest_path(n + m, tail, head, weight + margin * off)[1]) is not None:
+        k = np.count_nonzero(off[cycle])
+        if not k or not margin:
+            raise InfeasibleDuals("support equalities admit no feasible duals")
+        ratio = -float(weight[cycle].sum()) / k
+        if ratio >= margin:  # the cycle weighs 0 at this margin up to roundoff
+            break
+        margin = max(0.0, ratio)
+    pi = np.ldexp(longest_path(n + m, tail, head, weight + 0.5 * margin * off)[0], scale)
     return DualPotentials(pi[:n], pi[n:])
 
 

@@ -53,12 +53,24 @@ with contextlib.redirect_stdout(io.StringIO()):
                  ["geodesic", "--cov", "-1,0,1", "--n", "5"]):
         assert cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("sublorentz."))
+# the LP commands load logging only if something else already has
+import os, tempfile
+from sublorentz.measures_io import sample_chronological_pair, save_measure
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    paths = [os.path.join(tmp, name) for name in ("mu.txt", "nu.txt")]
+    for measure, path in zip(sample_chronological_pair(6, 6, seed=1, weights="random"), paths):
+        save_measure(measure, path)
+    for argv in (["solve", "--mu", paths[0], "--nu", paths[1]],
+                 ["brenier", "--mu", paths[0], "--nu", paths[1], "--out", os.path.join(tmp, "b")]):
+        assert cli.main(argv) == 0, argv
+assert "logging" not in sys.modules
 """
 
 
 def test_import_layering():
     # A fresh interpreter: importing the package loads no submodule and no
-    # numpy, and the start-up bound commands run without numpy.
+    # numpy, the start-up bound commands run without numpy, and solve and
+    # brenier run without logging.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _LAYERING_PROBE], env=env, capture_output=True, text=True, timeout=60

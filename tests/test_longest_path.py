@@ -45,16 +45,22 @@ def test_same_result_as_plain_relaxation(cycle_weight):
         n_nodes = int(rng.integers(2, 40))
         tail, head, weight = _graph(rng, n_nodes, int(rng.integers(1, 4 * n_nodes)), cycle_weight)
         want = _plain_relaxation(n_nodes, tail, head, weight)
-        got = longest_path(n_nodes, tail, head, weight)
+        got, cycle = longest_path(n_nodes, tail, head, weight)
         if want is None:
             assert got is None
+            # the raising edges close the returned cycle, which gains weight
+            assert cycle.size and np.array_equal(head[cycle], tail[np.roll(cycle, 1)])
+            assert weight[cycle].sum() > 0.0
         else:
+            assert cycle is None
             np.testing.assert_array_equal(got, want)
 
 
 def test_no_edges():
     empty = np.array([], dtype=int)
-    np.testing.assert_array_equal(longest_path(3, empty, empty, np.array([])), np.zeros(3))
+    pi, cycle = longest_path(3, empty, empty, np.array([]))
+    assert cycle is None
+    np.testing.assert_array_equal(pi, np.zeros(3))
 
 
 def test_cycle_raised_late_by_a_heavy_path():
@@ -69,4 +75,6 @@ def test_cycle_raised_late_by_a_heavy_path():
     weight = np.array([1e6] + [0.0] * (chain - 1) + [0.0, 0.5, -0.5 + 1e-11])
     want = _plain_relaxation(chain + 3, tail, head, weight)
     assert want is not None and want[c0] == 1e6
-    np.testing.assert_array_equal(longest_path(chain + 3, tail, head, weight), want)
+    pi, cycle = longest_path(chain + 3, tail, head, weight)
+    assert cycle is None
+    np.testing.assert_array_equal(pi, want)

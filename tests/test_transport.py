@@ -12,7 +12,7 @@ import pytest
 
 from sublorentz.causality import tau
 from sublorentz.errors import InfeasibleDuals, NoCausalCoupling, WeightError
-from sublorentz.heisenberg import IDENTITY, GroupPoint
+from sublorentz.heisenberg import IDENTITY, GroupPoint, mul
 from sublorentz.measures_io import sample_chronological_pair
 from sublorentz.simplex import solve_max_transport
 from sublorentz.transport import (
@@ -172,6 +172,129 @@ def test_strengthen_duals_preserves_optimality_certificate():
     for i, j in plan.support():
         assert duals.psi[j] - duals.phi[i] == pytest.approx(cm.values[i, j], abs=1e-9)
     assert abs(duality_gap(plan, duals, mu, nu, cm)) <= 1e-8
+
+
+def test_strengthen_duals_rejects_a_support_without_duals():
+    # the swapped plan's two support pairs close a positive cycle on their
+    # own: no potentials are tight on both
+    mu, nu = _fixture()
+    cm = cost_matrix(mu, nu, P)
+    swapped = np.array([[0.0, 0.5], [0.5, 0.0]])
+    with pytest.raises(InfeasibleDuals):
+        strengthen_duals(TransportPlan(swapped, float(np.sum(swapped * cm.values))), cm)
+
+
+def test_strengthen_duals_caps_an_unlimited_margin_at_512():
+    # mu == nu on the x-axis, each atom in the chronological future of the
+    # one before: only the identity plan is admissible, and no cycle
+    # through an off-support pair exists to limit the margin
+    atoms = (GroupPoint(0, 0, 0), GroupPoint(2, 0, 0), GroupPoint(4, 0, 0))
+    mu = DiscreteMeasure(atoms, np.full(3, 1.0 / 3.0))
+    plan, _ = solve_kantorovich(mu, mu, P)
+    cm = cost_matrix(mu, mu, P)
+    duals = strengthen_duals(plan, cm)
+    slack = duals.psi[None, :] - duals.phi[:, None] - cm.values
+    off = cm.feasible & ~(plan.masses > SUPPORT_TOL)
+    assert off.sum() == 3
+    assert slack[off].min() >= 512.0
+
+
+def test_strengthen_duals_stops_on_a_cycle_that_keeps_its_margin(monkeypatch):
+    # Roundoff can make the relaxation report a cycle that weighs 0 at the
+    # exact margin.  Have every search at that margin report the last cycle
+    # found: the search must stop there, with the same duals, rather than
+    # retry the margin.
+    from sublorentz import transport
+
+    mu, nu = _cluster_pair(0, 10, twisted=False)
+    plan, _ = solve_kantorovich(mu, nu, P)
+    cm = cost_matrix(mu, nu, P)
+    want = strengthen_duals(plan, cm)
+    real = transport.longest_path
+    calls, cycles, stuck = [], [], []
+
+    def replay(n_nodes, tail, head, weight):
+        calls.append(weight)
+        assert len(calls) < 20, "the margin search repeats itself"
+        if stuck and np.array_equal(weight, stuck[0]):
+            return None, cycles[-1]
+        pi, cycle = real(n_nodes, tail, head, weight)
+        if cycle is not None:
+            cycles.append(cycle)
+        elif cycles and not stuck:
+            stuck.append(weight)
+            return None, cycles[-1]
+        return pi, cycle
+
+    monkeypatch.setattr(transport, "longest_path", replay)
+    got = strengthen_duals(plan, cm)
+    assert stuck
+    np.testing.assert_array_equal(got.phi, want.phi)
+    np.testing.assert_array_equal(got.psi, want.psi)
+
+
+def _highs_margin(plan, cm, optimize):
+    """Largest lam <= 1024 with psi_j - phi_i = c_ij on the support and
+    psi_j - phi_i - c_ij >= lam on the other feasible pairs, from HiGHS."""
+    n, m = cm.values.shape
+    on = plan.masses > SUPPORT_TOL
+
+    def rows(i, j):  # psi_j - phi_i over the variables (phi, psi, lam)
+        a = np.zeros((i.size, n + m + 1))
+        a[np.arange(i.size), i] = -1.0
+        a[np.arange(i.size), n + j] = 1.0
+        return a
+
+    si, sj = np.nonzero(on)
+    fi, fj = np.nonzero(cm.feasible & ~on)
+    a_ub = -rows(fi, fj)
+    a_ub[:, -1] = 1.0
+    objective = np.zeros(n + m + 1)
+    objective[-1] = -1.0
+    res = optimize.linprog(
+        objective,
+        A_ub=a_ub if fi.size else None,
+        b_ub=-cm.values[fi, fj] if fi.size else None,
+        A_eq=rows(si, sj),
+        b_eq=cm.values[si, sj],
+        bounds=[(None, None)] * (n + m) + [(None, 1024.0)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def _cluster_pair(seed, n, twisted):
+    """n uniform atoms in a cluster and their right translates by a planar
+    or twisted q0: degenerate LPs whose optimal plans are permutations."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(1.2, 2.0)
+    y0 = rng.uniform(-0.3, 0.3) * x0
+    z0 = rng.uniform(0.2, 0.6) * 0.25 * (x0 * x0 - y0 * y0) * rng.choice([-1.0, 1.0])
+    q0 = GroupPoint(x0, y0, z0 if twisted else 0.0)
+    atoms = [GroupPoint(*a) for a in rng.uniform([-0.7, -0.7, -0.245], [0.7, 0.7, 0.245], (n, 3))]
+    w = np.full(n, 1.0 / n)
+    return DiscreteMeasure(atoms, w), DiscreteMeasure([mul(a, q0) for a in atoms], w)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_strengthened_margin_matches_highs(seed):
+    optimize = pytest.importorskip("scipy.optimize")
+    pairs = [
+        sample_chronological_pair(6 + 3 * seed, 5 + 2 * seed, seed=seed, weights="random"),
+        _cluster_pair(seed, 10, twisted=False),
+        _cluster_pair(seed, 10, twisted=True),
+    ]
+    for mu, nu in pairs:
+        plan, _ = solve_kantorovich(mu, nu, P)
+        cm = cost_matrix(mu, nu, P)
+        duals = strengthen_duals(plan, cm)
+        slack = duals.psi[None, :] - duals.phi[:, None] - cm.values
+        on = plan.masses > SUPPORT_TOL
+        off = cm.feasible & ~on
+        best = _highs_margin(plan, cm, optimize)
+        assert np.abs(slack[on]).max() <= 1e-12 * np.abs(cm.values[cm.feasible]).max()
+        assert slack[off].min() >= 0.5 * best * (1.0 - 1e-9)
 
 
 def test_monotonicity_flags_suboptimal_plan():
