@@ -24,11 +24,11 @@ Each kernel comes twice.  The scalar functions (``classify``, ``tau``,
 last axis holds (x, y, z) and broadcast over the leading axes, so one call
 covers every pair of two atom families.  Both apply ``cone_state`` to
 ``heisenberg.group_difference``, which takes arrays too, so their masks
-agree bit for bit.  ``beta_array`` is the scalar safeguarded Newton iteration run
-on the entries that have not converged yet; numpy's sinh and cosh may differ
-from the math module's in the last bit, so values agree to roundoff.  In
-both, the bracket test's evaluation of alpha at 8|zeta| is the first Newton
-point, so alpha is evaluated once per point.
+agree bit for bit.  ``beta`` and ``beta_array`` run one straight-line kernel,
+a fixed number of Newton steps from a closed-form start, on floats or on
+arrays.  They agree bit for bit for |zeta| <= 0.2; beyond, numpy's expm1 and
+log may differ from the math module's in the last bit, and so may beta, by a
+few ulp.
 
 Only the array kernels import numpy, inside their bodies, so the scalar
 layers (this module, ``heisenberg``, ``geodesics``) load without it.
@@ -115,150 +115,110 @@ def classify_array(a, b):
     return cone_state(*_differences(a, b))
 
 
-# Series branches: the closed forms for alpha and alpha' lose digits to
-# cancellation near 0, so below the pinned thresholds we use the leading
-# Taylor terms instead.  Three terms keep the error far below 1e-13 at the
-# switch point.
+# beta, the inverse of alpha, is a fixed number of Newton steps from a
+# closed-form start: no bracket, no bisection and no stop rule.  Its two
+# halves use only arithmetic that floats and numpy arrays share, with cosh,
+# expm1 and log taken from ``lib`` (math or numpy), so beta and beta_array
+# run the same code:
+# - |zeta| <= _TWIST_CUT, where b <= 1.6: two steps on alpha(b) = |zeta| from
+#   a least-squares fit of beta(zeta) / (6 zeta) on [0, 0.2] by a ratio of
+#   quadratics in zeta^2, good to 2e-5;
+# - |zeta| > _TWIST_CUT: alpha' falls like b e^(-2b), so b is taken from
+#   eta = 1/4 - |zeta|, exact by Sterbenz's lemma: four steps on
+#   log 2g(b) = log 2 eta, g = 1/4 - alpha, from (L + log(L - 1)) / 2, the
+#   first-order root of 2b - log(2b - 1) = L = -log 2 eta.
 
-_ALPHA_SERIES_CUT = 1e-3
+_TWIST_CUT = 0.2
 
 
-def _alpha_pair(t: float):
-    """(alpha(t), alpha'(t)) for a float t, sharing one sinh(t)."""
-    if abs(t) < _ALPHA_SERIES_CUT:
-        t2 = t * t
-        a = t * (1.0 / 6.0 + t2 * (-1.0 / 45.0 + t2 / 315.0))
-        return a, 1.0 / 6.0 + t2 * (-1.0 / 15.0 + t2 / 63.0)
-    sh = math.sinh(t)
-    a = (math.sinh(2.0 * t) - 2.0 * t) / (8.0 * sh * sh)
-    return a, 0.5 - 2.0 * a * (math.cosh(t) / sh)
+def _alpha_pair(t, lib):
+    """(alpha(t), alpha'(t)) for 0 <= t <= 1.6, t a float or an array.
+
+    alpha = t P / S^2 and alpha' = 1/2 - 2 alpha coth t = 1/2 - 2 P cosh(t) / S^3,
+    with P = (sinh 2t - 2t) / (8 t^3) = sum 4^k t^2k / (2k + 3)! and
+    S = sinh(t) / t = sum t^2k / (2k + 1)! summed as 13- and 11-term Taylor
+    series, which hold to 1e-17 up to t = 1.6.  Nothing cancels or underflows
+    near 0, and alpha is the same bits on floats and arrays.
+    """
+    u = t * t
+    p = 1 / 6 + u * (1 / 30 + u * (1 / 315 + u * (1 / 5670 + u * (1 / 155925 + u * (1 / 6081075 + u * (
+        2 / 638512875 + u * (1 / 21709437750 + u * (1 / 1856156927625 + u * (1 / 194896477400625 + u * (
+            2 / 49308808782358125 + u * (1 / 3698160658676859375 + u * (2 / 1298054391195577640625))))))))))))
+    s = 1.0 + u * (1 / 6 + u * (1 / 120 + u * (1 / 5040 + u * (1 / 362880 + u * (1 / 39916800 + u * (
+        1 / 6227020800 + u * (1 / 1307674368000 + u * (1 / 355687428096000 + u * (
+            1 / 121645100408832000 + u * (1 / 51090942171709440000))))))))))
+    ps2 = p / (s * s)
+    return t * ps2, 0.5 - 2.0 * ps2 / s * lib.cosh(t)
+
+
+def _log_2g_pair(t, lib):
+    """(log 2g(t), its derivative) for t > 0, a float or an array, g = 1/4 - alpha.
+
+    With e = expm1(-2t), g = (2t + e)(1 + e) / (2 e^2) and 1 + e = exp(-2t),
+    so log 2g = log((2t + e) / e^2) - 2t, which overflows at no t.
+    """
+    e = lib.expm1(-2.0 * t)
+    s = 2.0 * t + e
+    return lib.log(s / (e * e)) - 2.0 * t, 2.0 * (2.0 + e) / e - 2.0 * e / s
 
 
 def alpha(t: float) -> float:
     """(sinh(2t) - 2t) / (8 sinh(t)^2), extended by alpha(0) = 0.
 
-    Odd and strictly increasing with range (-1/4, 1/4).
+    Odd and strictly increasing with range (-1/4, 1/4).  The series of
+    ``_alpha_pair`` up to |t| = 1.6, and 1/4 - g beyond.
     """
-    return _alpha_pair(t)[0]
+    a = abs(t)
+    v = _alpha_pair(a, math)[0] if a <= 1.6 else 0.25 - 0.5 * math.exp(_log_2g_pair(a, math)[0])
+    return v if t >= 0.0 else -v
 
 
-def alpha_prime(t: float) -> float:
-    """Derivative of alpha; equals 1/2 - 2 alpha(t) coth(t) away from 0."""
-    return _alpha_pair(t)[1]
+def _beta_twist(z, lib):
+    """beta(z) for 0 <= z <= _TWIST_CUT: two Newton steps on alpha(b) = z."""
+    v = z * z
+    b = 6.0 * z * (1.0 + v * (-14.8304 + 30.1624 * v)) / (1.0 + v * (-19.6296 + 79.7965 * v))
+    for _ in range(2):
+        a, da = _alpha_pair(b, lib)
+        b = b - (a - z) / da
+    return b
 
 
-_BETA_TOL = 1e-13
-_BETA_MAX_ITER = 200
-_BETA_HI_CAP = 64.0  # alpha(64) is within 1e-50 of 1/4; no double below 1/4 needs more
+def _beta_null(eta, lib):
+    """beta(1/4 - eta) for 0 < eta < 1/4 - _TWIST_CUT: four Newton steps on
+    log 2g(b) = log 2 eta."""
+    big_l = -lib.log(2.0 * eta)
+    b = 0.5 * (big_l + lib.log(big_l - 1.0))
+    for _ in range(4):
+        h, dh = _log_2g_pair(b, lib)
+        b = b - (h + big_l) / dh
+    return b
 
 
 def beta(zeta: float) -> float:
-    """Inverse of alpha on (-1/4, 1/4).
+    """Inverse of alpha on (-1/4, 1/4), within 2e-15 relative of the true root.
 
-    Safeguarded Newton iteration from 8|zeta|, where the bracket test's
-    alpha is the first Newton point, so alpha is evaluated once per point.
-    Steps that leave the current bracket fall back to bisection, so
-    convergence is unconditional.  Raises OutOfDomain for |zeta| >= 1/4.
+    Raises OutOfDomain for |zeta| >= 1/4.
     """
-    if not abs(zeta) < 0.25:
+    a = abs(zeta)
+    if not a < 0.25:
         raise OutOfDomain(f"beta requires |zeta| < 1/4, got {zeta!r}")
-    if zeta == 0.0:
-        return 0.0
-    sign = 1.0 if zeta > 0.0 else -1.0
-    target = abs(zeta)
-
-    lo = 0.0
-    b = 8.0 * target
-    hi = b if b > 1e-8 else 1e-8  # max(b, 1e-8), without the cost of a builtin call
-    # Below the floor (8|zeta| < 1e-8) alpha(b) ~ 4|zeta|/3 and alpha(hi) both
-    # reach |zeta|, so the bracket test at b grows the same brackets as at hi.
-    a, df = _alpha_pair(b)
-    grow = a < target
-    while grow:
-        hi *= 2.0
-        if hi > _BETA_HI_CAP:
-            break
-        grow = _alpha_pair(hi)[0] < target
-
-    for _ in range(_BETA_MAX_ITER):
-        f = a - target
-        if abs(f) <= _BETA_TOL:
-            break
-        if f > 0.0:
-            hi = b
-        else:
-            lo = b
-        nb = b - f / df if df > 0.0 else lo
-        b = nb if lo < nb < hi else 0.5 * (lo + hi)
-        if hi - lo <= 1e-16 * (hi if hi > 1.0 else 1.0):
-            break
-        a, df = _alpha_pair(b)
-    return sign * b
-
-
-def _alpha_terms(t):
-    """alpha and alpha' on an array of t > 0, with the scalar series branch."""
-    import numpy as np
-
-    small = t < _ALPHA_SERIES_CUT
-    some_small = small.any()
-    tc = np.where(small, 1.0, t) if some_small else t
-    sh = np.sinh(tc)
-    a = (np.sinh(2.0 * tc) - 2.0 * tc) / (8.0 * sh * sh)
-    da = 0.5 - 2.0 * a * (np.cosh(tc) / sh)
-    if some_small:
-        ts = t[small]
-        t2 = ts * ts
-        a[small] = ts * (1.0 / 6.0 + t2 * (-1.0 / 45.0 + t2 / 315.0))
-        da[small] = 1.0 / 6.0 + t2 * (-1.0 / 15.0 + t2 / 63.0)
-    return a, da
+    b = _beta_twist(a, math) if a <= _TWIST_CUT else _beta_null(0.25 - a, math)
+    return b if zeta >= 0.0 else -b
 
 
 def beta_array(zeta) -> np.ndarray:
-    """:func:`beta` on every entry of an array.
-
-    The same bracket growth, Newton steps, bisection fallback and stop rules
-    as the scalar iteration, with the bracket test as the first Newton round;
-    each round works only on the entries that have not stopped yet.
-    """
+    """:func:`beta` on every entry of an array, by the same two halves."""
     import numpy as np
 
     zeta = np.asarray(zeta, float)
-    if not np.all(np.abs(zeta) < 0.25):
+    a = np.abs(zeta)
+    if not np.all(a < 0.25):
         raise OutOfDomain("beta requires |zeta| < 1/4 on every entry")
-    out = np.zeros(zeta.size)
-    at = np.flatnonzero(zeta)
-    target = np.abs(zeta.ravel()[at])
-    b = 8.0 * target
-    hi = np.maximum(b, 1e-8)  # as in beta, floored entries pass the bracket test at b
-    a, da = _alpha_terms(b)
-    grow = np.flatnonzero(a < target)
-    while grow.size:
-        hi[grow] *= 2.0
-        grow = grow[hi[grow] <= _BETA_HI_CAP]
-        grow = grow[_alpha_terms(hi[grow])[0] < target[grow]]
-
-    lo = np.zeros_like(b)
-    for _ in range(_BETA_MAX_ITER):
-        f = a - target
-        done = np.abs(f) <= _BETA_TOL
-        over = f > 0.0
-        hi = np.where(over, b, hi)
-        lo = np.where(over, lo, b)
-        newton = da > 0.0
-        nb = np.where(newton, b - f / np.where(newton, da, 1.0), lo)
-        step = np.where((lo < nb) & (nb < hi), nb, 0.5 * (lo + hi))
-        b = np.where(done, b, step)
-        done |= hi - lo <= 1e-16 * np.maximum(1.0, hi)
-        if done.any():
-            out[at[done]] = b[done]
-            go = ~done
-            at, target, b, lo, hi = at[go], target[go], b[go], lo[go], hi[go]
-        if not at.size:
-            break
-        a, da = _alpha_terms(b)
-    out[at] = b
-    return np.copysign(out.reshape(zeta.shape), zeta)
+    b = np.empty(zeta.shape)
+    twist = a <= _TWIST_CUT
+    b[twist] = _beta_twist(a[twist], np)
+    b[~twist] = _beta_null(0.25 - a[~twist], np)
+    return np.copysign(b, zeta)
 
 
 def tau(q0: GroupPoint, q: GroupPoint) -> float:

@@ -11,8 +11,8 @@ from sublorentz.causality import (
     CausalRelation,
     PlanarPoint,
     alpha,
-    alpha_prime,
     beta,
+    beta_array,
     causal_diamond_bbox,
     classify,
     minkowski_tau,
@@ -20,6 +20,7 @@ from sublorentz.causality import (
     tau_partition_length,
 )
 from sublorentz.errors import NotCausalChain, NotChronological, OutOfDomain
+from sublorentz.geodesics import log_map
 from sublorentz.heisenberg import IDENTITY, GroupPoint, mul
 
 
@@ -63,9 +64,12 @@ def test_alpha_frozen_value():
 
 
 def test_alpha_series_matches_closed_form():
-    for t in (1e-3, 2e-3, 5e-3):
+    # the series against the closed form where sinh 2t - 2t does not cancel
+    # much, and against 1/4 - g across their switch at t = 1.6
+    for t in (0.5, 1.0, 1.5, 1.6):
         closed = (math.sinh(2 * t) - 2 * t) / (8 * math.sinh(t) ** 2)
-        assert alpha(t) == pytest.approx(closed, abs=1e-15)
+        assert alpha(t) == pytest.approx(closed, rel=2e-15)
+    assert alpha(math.nextafter(1.6, 2.0)) == pytest.approx(alpha(1.6), rel=1e-15)
 
 
 def test_alpha_is_odd_with_limit_quarter():
@@ -75,10 +79,15 @@ def test_alpha_is_odd_with_limit_quarter():
 
 
 def test_alpha_prime_matches_finite_difference():
+    # the slopes that beta's Newton steps take: alpha' below t = 1.6, and
+    # (log 2g)' with g = 1/4 - alpha near the null boundary
     h = 1e-6
-    for t in (0.0, 0.3, 2.0, -1.1):
+    for t in (0.0, 0.3, 1.0, 1.6):
         fd = (alpha(t + h) - alpha(t - h)) / (2 * h)
-        assert alpha_prime(t) == pytest.approx(fd, abs=1e-9)
+        assert causality._alpha_pair(t, math)[1] == pytest.approx(fd, abs=1e-9)
+    for t in (0.5, 2.0, 20.0):
+        fd = (causality._log_2g_pair(t + h, math)[0] - causality._log_2g_pair(t - h, math)[0]) / (2 * h)
+        assert causality._log_2g_pair(t, math)[1] == pytest.approx(fd, abs=1e-8)
 
 
 @given(st.floats(-5.0, 5.0))
@@ -101,41 +110,12 @@ def test_beta_domain_boundary():
     assert beta(0.2499) > 0.0
 
 
-def reference_beta(zeta):
-    """The safeguarded Newton loop that evaluated alpha twice at 8|zeta|:
-    once in the bracket test, once more as the first Newton point."""
-    if zeta == 0.0:
-        return 0.0
-    sign = 1.0 if zeta > 0.0 else -1.0
-    target = abs(zeta)
-    lo = 0.0
-    hi = max(8.0 * target, 1e-8)
-    while causality.alpha(hi) < target:
-        hi *= 2.0
-        if hi > causality._BETA_HI_CAP:
-            break
-    b = min(8.0 * target, hi)
-    for _ in range(causality._BETA_MAX_ITER):
-        a, df = causality._alpha_pair(b)
-        f = a - target
-        if abs(f) <= causality._BETA_TOL:
-            break
-        if f > 0.0:
-            hi = b
-        else:
-            lo = b
-        nb = b - f / df if df > 0.0 else lo
-        b = nb if lo < nb < hi else 0.5 * (lo + hi)
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            break
-    return sign * b
-
-
 def beta_families():
-    """Seeded zeta families for each branch of the root solve: uniform, under
-    the 1e-8 floor of the bracket, where the bracket grows (alpha(2) < |zeta|),
-    within 1e-16 of +-1/4 where it grows to just below the cap of 64, and both
-    zeros (compared as bits, so the sign of -0.0 counts)."""
+    """Seeded zeta families: uniform; tiny, below 1.25e-9 and down to 1e-300;
+    near the null boundary, 0.2214 <= |zeta| < 1/4 (where alpha(2) < |zeta|);
+    the doubles within 1e-16 of +-1/4; both zeros; and one log-uniform family
+    for each half of the kernel, |zeta| from 1e-300 to 0.2 and
+    eta = 1/4 - |zeta| from 2^-55 to 0.05."""
     rng = np.random.default_rng(15)
     quarter = np.nextafter(0.25, 0.0) - 2.0**-55 * np.arange(4)  # the doubles within 1e-16 below 1/4
     sign = rng.choice([-1.0, 1.0], 2000)
@@ -145,40 +125,67 @@ def beta_families():
         "grow": sign * rng.uniform(0.2214, 0.25, 2000),
         "cap": np.concatenate([quarter, -quarter]),
         "zeros": np.array([0.0, -0.0]),
+        "twist": sign * 10.0 ** rng.uniform(-300, math.log10(0.2), 2000),
+        "null": sign * (0.25 - 2.0 ** rng.uniform(-55, math.log2(0.05), 2000)),
     }
 
 
-def _bits(values):
-    return np.asarray(values, dtype=float).view(np.uint64)
+def mp_alpha_root(zeta, b):
+    """The root of alpha(b) = zeta > 0, an mpf, to 60 digits: Newton's method
+    in mpmath on the closed form of alpha, from b.  alpha is strictly
+    increasing, so the root it converges to is the only one."""
+    mp = pytest.importorskip("mpmath")
+    b = mp.mpf(b)
+    # 80 digits leave 60 near the null boundary, where alpha' ~ 1e-16, and
+    # sinh 2b - 2b cancels 2 log10(1/b) more at small b
+    with mp.workdps(80 + max(0, int(-2 * mp.log10(b)))):
+        for _ in range(20):
+            sh = mp.sinh(b)
+            a = (mp.sinh(2 * b) - 2 * b) / (8 * sh * sh)
+            step = (a - zeta) / (mp.mpf(0.5) - 2 * a * mp.cosh(b) / sh)
+            b -= step
+            if abs(step) <= b * mp.mpf(10) ** -50:
+                return +b
+    raise AssertionError(f"no mpmath root for zeta = {zeta}")
+
+
+BETA_ULPS = 9  # beta against 60-digit roots; 9 ulp of b is at most 2e-15 relative
 
 
 @pytest.mark.parametrize("family", list(beta_families()))
-def test_beta_is_bit_identical_to_the_reference_loop(family):
+def test_beta_matches_mpmath_roots(family):
+    """beta and beta_array on about 200 entries of each family."""
+    mp = pytest.importorskip("mpmath")
     zeta = beta_families()[family]
-    got = [beta(float(z)) for z in zeta]
-    want = [reference_beta(float(z)) for z in zeta]
-    np.testing.assert_array_equal(_bits(got), _bits(want))
+    zeta = zeta[:: max(1, zeta.size // 200)]
+    scalar = [beta(float(z)) for z in zeta]
+    array = beta_array(zeta)
+    for z, b, c in zip(zeta, scalar, array):
+        if z == 0.0:
+            assert b == 0.0 and c == 0.0
+            continue
+        root = mp_alpha_root(abs(mp.mpf(z)), abs(b))
+        for got in (b, c):
+            assert math.copysign(1.0, got) == math.copysign(1.0, z)
+            assert abs(abs(mp.mpf(got)) - root) <= BETA_ULPS * math.ulp(got), (z, got)
 
 
-def test_beta_evaluates_alpha_once_per_point(monkeypatch):
-    seen = []
-    alpha_pair = causality._alpha_pair
+def test_beta_is_exact_at_tiny_twists():
+    # the root is 6 zeta (1 + 4.8 zeta^2 + ...); an absolute stop rule on
+    # |alpha(b) - zeta| once returned 8 zeta here, and log_map's hZ with it
+    assert abs(beta(1e-14) - 6e-14) <= 2 * math.ulp(6e-14)
+    tiny = log_map(IDENTITY, GroupPoint(2.0, 1.0, 3e-14)).hZ
+    assert tiny == pytest.approx(1e-6 * log_map(IDENTITY, GroupPoint(2.0, 1.0, 3e-8)).hZ, rel=1e-13)
 
-    def record(t):
-        seen.append(t)
-        return alpha_pair(t)
 
-    monkeypatch.setattr(causality, "_alpha_pair", record)
-    for zeta in np.concatenate(list(beta_families().values()))[::7]:
-        seen.clear()
-        beta(float(zeta))
-        assert len(seen) == len(set(seen)), zeta
-    seen.clear()
-    beta(0.1)
-    once = len(seen)
-    seen.clear()
-    reference_beta(0.1)
-    assert once == len(seen) - 1
+@pytest.mark.parametrize("t", [1.001e-3, 3e-3, 1e-2, 3e-2, 0.1])
+def test_alpha_matches_mpmath(t):
+    # where the closed form's sinh 2t - 2t cancels
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        sh = mp.sinh(t)
+        want = (mp.sinh(2 * mp.mpf(t)) - 2 * mp.mpf(t)) / (8 * sh * sh)
+        assert abs(mp.mpf(alpha(t)) - want) <= 4 * math.ulp(alpha(t))
 
 
 # --- tau --------------------------------------------------------------------
@@ -197,6 +204,20 @@ def test_tau_planar_case_is_minkowski():
 def test_tau_zero_on_null_boundary():
     assert tau(IDENTITY, GroupPoint(2.0, 0.0, 1.0)) == 0.0
     assert tau(IDENTITY, GroupPoint(1.0, 1.0, 0.0)) == 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+def test_tau_near_the_null_boundary_matches_mpmath(eps):
+    """(2, 1, z) with |z| = (3/4)(1 - eps), eps from the null boundary: tau
+    holds 1e-15 / eps relative against mpmath on the same float z.  Rounding
+    zeta = z / 3 alone costs about 3e-17 / eps."""
+    mp = pytest.importorskip("mpmath")
+    for z in (0.75 * (1.0 - eps), -0.75 * (1.0 - eps)):
+        got = tau(IDENTITY, GroupPoint(2.0, 1.0, z))
+        with mp.workdps(60):
+            b = mp_alpha_root(abs(mp.mpf(z)) / 3, abs(beta(z / 3.0)))
+            want = mp.sqrt(3) * b / mp.sinh(b)
+            assert abs(got - want) <= 1e-15 / eps * want, (z, got)
 
 
 def test_tau_zero_outside_chronological_future():

@@ -5,14 +5,13 @@ The Brenier maps take a pair's branch to be in their domain where its gain
 in the cost matrix is > 0, so these tests also hold that tau, and the gain,
 are positive exactly on the chronological pairs."""
 
+import math
+
 import numpy as np
 import pytest
 
-from sublorentz import causality
 from sublorentz.causality import (
     CausalRelation,
-    alpha,
-    alpha_prime,
     beta,
     beta_array,
     classify,
@@ -125,65 +124,30 @@ def test_beta_array_matches_scalar_beta():
     zeta = np.array([0.0, 1e-300, -1e-12, 1e-4, -2e-4, 0.01, -0.1, 0.2, -0.24, 0.2499, 0.249999, -0.2499999])
     got = beta_array(zeta)
     for z, b in zip(zeta, got):
-        want = beta(float(z))
-        # both stop once |alpha(b) - zeta| <= 1e-13, so they agree as far
-        # as that residual pins b down
-        assert abs(alpha(b) - z) <= 1.1e-13
-        assert abs(b - want) <= 2.2e-13 / alpha_prime(want)
+        # one kernel: the same bits up to |zeta| = 0.2, within a few ulp
+        # beyond, where numpy's expm1 and log may differ from the math module's
+        assert abs(b - beta(float(z))) <= (0.0 if abs(z) <= 0.2 else 8.0) * math.ulp(b)
         assert np.sign(b) == np.sign(z)
     assert beta_array(zeta.reshape(3, 4)).shape == (3, 4)
 
 
-def reference_beta_array(zeta):
-    """The array root solve that evaluated alpha at the bracket's first trial
-    end and again, over every entry, in the first Newton round."""
-    zeta = np.asarray(zeta, float)
-    out = np.zeros(zeta.size)
-    at = np.flatnonzero(zeta)
-    target = np.abs(zeta.ravel()[at])
-    hi = np.maximum(8.0 * target, 1e-8)
-    grow = np.arange(at.size)
-    while grow.size:
-        grow = grow[causality._alpha_terms(hi[grow])[0] < target[grow]]
-        hi[grow] *= 2.0
-        grow = grow[hi[grow] <= causality._BETA_HI_CAP]
-    b = np.minimum(8.0 * target, hi)
-    lo = np.zeros_like(b)
-    for _ in range(causality._BETA_MAX_ITER):
-        if not at.size:
-            break
-        a, da = causality._alpha_terms(b)
-        f = a - target
-        done = np.abs(f) <= causality._BETA_TOL
-        over = f > 0.0
-        hi = np.where(over, b, hi)
-        lo = np.where(over, lo, b)
-        newton = da > 0.0
-        nb = np.where(newton, b - f / np.where(newton, da, 1.0), lo)
-        step = np.where((lo < nb) & (nb < hi), nb, 0.5 * (lo + hi))
-        b = np.where(done, b, step)
-        done |= hi - lo <= 1e-16 * np.maximum(1.0, hi)
-        if done.any():
-            out[at[done]] = b[done]
-            go = ~done
-            at, target, b, lo, hi = at[go], target[go], b[go], lo[go], hi[go]
-    out[at] = b
-    return np.copysign(out.reshape(zeta.shape), zeta)
-
-
 @pytest.mark.parametrize("size", [1, 7, 8, 9, 17, 50_000])
-def test_beta_array_is_bit_identical_to_the_reference_loop(size):
-    """Each family alone, then mixes in which only some entries grow their
-    bracket, hit the 1e-8 floor or the cap, so that numpy's SIMD body and
-    tail both see every branch."""
+def test_beta_array_matches_beta_on_mixed_families(size):
+    """Each family alone, then mixes in which only some entries take either
+    half of the kernel or are zeros, so that numpy's SIMD body and tail both
+    see every case."""
     rng = np.random.default_rng(size)
     families = beta_families()
-    pool = np.concatenate(list(families.values()))
+    pool = np.unique(np.concatenate(list(families.values())))
+    scalar = np.array([beta(float(z)) for z in pool])
     cases = [rng.choice(f, size) for f in families.values()]
     cases += [rng.choice(pool, size) for _ in range(4)]
     cases.append(np.where(rng.random(size) < 0.5, rng.choice(families["uniform"], size), rng.choice(pool, size)))
     for zeta in cases:
-        np.testing.assert_array_equal(beta_array(zeta).view(np.uint64), reference_beta_array(zeta).view(np.uint64))
+        got = beta_array(zeta)
+        want = np.copysign(scalar[np.searchsorted(pool, zeta)], zeta)
+        ulps = np.where(np.abs(zeta) <= 0.2, 0.0, 8.0)
+        assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want)))
     assert beta_array(np.array([-0.0, 0.0])).view(np.uint64).tolist() == [1 << 63, 0]
 
 
