@@ -22,24 +22,20 @@ with f1 = sinh(s)/s, f2 = (cosh(s)-1)/s, f3 = (sinh(s)-s)/s^3 continued by
 their limits at s = 0 (straight lines when w0 = 0).  For a general base
 point the trajectory is the left translate of the identity trajectory and
 the frame components are unchanged: that is the left-invariance that makes
-the frame representation the right one to flow.
+the frame representation the right one to flow.  One private kernel,
+_flow, returns the end point and the evolved (hX, hY) as plain values:
+flow wraps them in a HamiltonianState, and exp_map and GeodesicArc.point
+return the point alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .causality import _twist_and_separation, cone_state
 from .errors import NotChronological, OutOfDomain
-from .heisenberg import (
-    FrameCovector,
-    GroupPoint,
-    group_difference,
-    is_future_timelike,
-    mul,
-)
+from .heisenberg import FrameCovector, GroupPoint, group_difference, is_future_timelike, mul
 
 # Below this |s| the f-factors switch to 3-term series; the closed forms
 # cancel catastrophically while the truncation error is ~s^6.
@@ -65,15 +61,8 @@ class HamiltonianState(NamedTuple):
     cov: FrameCovector
 
 
-def flow(q0: GroupPoint, cov0: FrameCovector, t: float) -> HamiltonianState:
-    """Integrate the geodesic flow for time t from (q0, cov0).
-
-    Exact closed form, no stepping.  Satisfies the scaling identities
-    flow(q, a*cov, t).point == flow(q, cov, a*t).point and exact conservation
-    of hZ and of the energy up to roundoff.  Raises OutOfDomain when
-    |hZ t| is past what cosh can represent (about 710), or when any output
-    coordinate is not a finite float.
-    """
+def _flow(q0: GroupPoint, cov0: FrameCovector, t: float) -> tuple[GroupPoint, float, float]:
+    """(point, hX, hY) of the flow from (q0, cov0) at time t; see flow."""
     u0, v0, w0 = cov0
     s = w0 * t
     try:
@@ -85,17 +74,31 @@ def flow(q0: GroupPoint, cov0: FrameCovector, t: float) -> HamiltonianState:
     x = t * (v0 * f2 - u0 * f1)
     y = t * (v0 * f1 - u0 * f2)
     z = 0.5 * (u0 * u0 - v0 * v0) * w0 * t * t * t * f3
-    q = mul(q0, GroupPoint(x, y, z))
-    cov = FrameCovector(u0 * ch - v0 * sh, v0 * ch - u0 * sh, w0)
+    q = mul(q0, (x, y, z))
+    hX = u0 * ch - v0 * sh
+    hY = v0 * ch - u0 * sh
     # one cheap test: x*0 is 0 for every finite x and nan for inf and nan
-    if q.x * 0.0 + q.y * 0.0 + q.z * 0.0 + cov.hX * 0.0 + cov.hY * 0.0 + w0 * 0.0 != 0.0:
+    if q[0] * 0.0 + q[1] * 0.0 + q[2] * 0.0 + hX * 0.0 + hY * 0.0 + w0 * 0.0 != 0.0:
         raise OutOfDomain(f"flow from {q0!r} with {cov0!r} for t = {t!r} is not finite")
-    return HamiltonianState(q, cov)
+    return q, hX, hY
+
+
+def flow(q0: GroupPoint, cov0: FrameCovector, t: float) -> HamiltonianState:
+    """Integrate the geodesic flow for time t from (q0, cov0).
+
+    Exact closed form, no stepping.  Satisfies the scaling identities
+    flow(q, a*cov, t).point == flow(q, cov, a*t).point and exact conservation
+    of hZ and of the energy up to roundoff.  Raises OutOfDomain when
+    |hZ t| is past what cosh can represent (about 710), or when any output
+    coordinate is not a finite float.
+    """
+    q, hX, hY = _flow(q0, cov0, t)
+    return HamiltonianState(q, FrameCovector(hX, hY, cov0[2]))
 
 
 def exp_map(q0: GroupPoint, cov0: FrameCovector) -> GroupPoint:
     """Time-1 geodesic exponential of the covector cov0 based at q0."""
-    return flow(q0, cov0, 1.0).point
+    return _flow(q0, cov0, 1.0)[0]
 
 
 def log_map(q0: GroupPoint, q: GroupPoint) -> FrameCovector:
@@ -118,22 +121,23 @@ def log_map(q0: GroupPoint, q: GroupPoint) -> FrameCovector:
     return FrameCovector(-t_sep * math.cosh(psi), t_sep * math.sinh(psi), 2.0 * b)
 
 
-@dataclass(frozen=True)
 class GeodesicArc:
     """A normal geodesic segment: base point, initial covector, duration."""
 
+    __slots__ = ("base", "cov0", "duration")
     base: GroupPoint
     cov0: FrameCovector
     duration: float
 
-    def __post_init__(self):
-        if not self.duration >= 0.0:
-            raise ValueError(f"duration must be >= 0, got {self.duration!r}")
-        if not is_future_timelike(self.cov0):
+    def __init__(self, base: GroupPoint, cov0: FrameCovector, duration: float):
+        if not duration >= 0.0:
+            raise ValueError(f"duration must be >= 0, got {duration!r}")
+        if not is_future_timelike(cov0):
             raise ValueError("initial covector must be future-directed timelike")
+        self.base, self.cov0, self.duration = base, cov0, duration
 
     def point(self, t: float) -> GroupPoint:
-        return flow(self.base, self.cov0, t).point
+        return _flow(self.base, self.cov0, t)[0]
 
 
 def geodesic_trace(arc: GeodesicArc, n_samples: int):

@@ -50,12 +50,10 @@ IDENTITY = GroupPoint(0.0, 0.0, 0.0)
 
 
 def mul(a: GroupPoint, b: GroupPoint) -> GroupPoint:
-    """Group product a * b."""
-    return GroupPoint(
-        a.x + b.x,
-        a.y + b.y,
-        a.z + b.z + 0.5 * (a.x * b.y - b.x * a.y),
-    )
+    """Group product a * b; either operand may be any (x, y, z) triple."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return GroupPoint(ax + bx, ay + by, az + bz + 0.5 * (ax * by - bx * ay))
 
 
 def group_difference(a: GroupPoint, b: GroupPoint) -> GroupPoint:

@@ -190,6 +190,7 @@ def solve_max_transport(values, allowed, supplies, demands):
         if b[j] > 0.0:  # root -> sink at cost M: pi = +M
             up[n + j] = False
             pi_m[n + j] = 1.0
+    real_m = pi_m[:root]  # a view; np.minimum.reduce skips ndarray.min's wrapper
 
     block = math.isqrt(n_real - 1) + 1 if n_real else 1
     blocks = [
@@ -210,7 +211,7 @@ def solve_max_transport(values, allowed, supplies, demands):
                 # M coefficients are whole numbers and decide first; a basic
                 # real arc's is exactly 0, so a negative min is a nonbasic arc's
                 rc_m = pi_m[t] - pi_m[h]
-                least = rc_m.min()
+                least = np.minimum.reduce(rc_m)
                 if least < -0.5:
                     pick, sigma_m = np.where(rc_m == least, rc_f, np.inf), float(least)
                 else:
@@ -299,7 +300,7 @@ def solve_max_transport(values, allowed, supplies, demands):
         pi_f[moved] -= sigma_f
         if sigma_m:
             pi_m[moved] -= sigma_m
-            if pi_m[:root].min() == pi_m[:root].max():
+            if np.minimum.reduce(real_m) == np.maximum.reduce(real_m):
                 m_flat_at = pivots
 
     # mass the real arcs leave unrouted: unshipped supply, unmet demand

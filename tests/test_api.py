@@ -53,6 +53,7 @@ with contextlib.redirect_stdout(io.StringIO()):
                  ["geodesic", "--cov", "-1,0,1", "--n", "5"]):
         assert cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("sublorentz."))
+assert "dataclasses" not in sys.modules, sorted(m for m in sys.modules if m.startswith("sublorentz."))
 # the LP commands load logging only if something else already has
 import os, tempfile
 from sublorentz.measures_io import sample_chronological_pair, save_measure

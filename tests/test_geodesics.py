@@ -76,14 +76,63 @@ def test_flow_scaling_identity():
 
 def test_flow_raises_instead_of_returning_non_finite_coordinates():
     cov = FrameCovector(-1e200, 0.0, 1.0)
-    with pytest.raises(OutOfDomain):
-        flow(IDENTITY, cov, 1.0)  # z overflows to inf
-    with pytest.raises(OutOfDomain):
-        flow(IDENTITY, cov, 0.0)  # z is inf * 0 = nan
-    with pytest.raises(OutOfDomain):
-        flow(GroupPoint(1e308, 0.0, 0.0), FrameCovector(-1e308, 0.0, 0.0), 1.0)
+    cases = [
+        (IDENTITY, cov, 1.0),  # z overflows to inf
+        (IDENTITY, cov, 0.0),  # z is inf * 0 = nan
+        (GroupPoint(1e308, 0.0, 0.0), FrameCovector(-1e308, 0.0, 0.0), 1.0),  # x overflows
+        (IDENTITY, FrameCovector(-1.0, 0.5, 720.0), 1.0),  # cosh(720) overflows
+    ]
+    for base, cov0, t in cases:
+        # flow, exp_map and GeodesicArc.point share one kernel and one error
+        calls = [lambda: flow(base, cov0, t), lambda: GeodesicArc(base, cov0, t).point(t)]
+        if t == 1.0:
+            calls.append(lambda: exp_map(base, cov0))
+        messages = set()
+        for call in calls:
+            with pytest.raises(OutOfDomain) as err:
+                call()
+            messages.add(str(err.value))
+        assert len(messages) == 1, messages
     # just inside the range the values stay finite
     assert flow(IDENTITY, FrameCovector(-1e150, 0.0, 1.0), 1.0).point.z < math.inf
+
+
+# (base, cov0, t) -> flow's point and (hX, hY) at t, and exp_map's point
+_PINNED_FLOWS = [
+    (  # |hZ t| below the series cut
+        (0.0, 0.0, 0.0), (-1.0, 0.3, 5e-5), 1.3,
+        ("0x1.4ccda1777132cp+0", "0x1.8f673c53f3888p-2", "0x1.1784a91aba030p-17"),
+        ("-0x1.00014730ef79ap+0", "0x1.33443d5195e29p-2"),
+        ("0x1.00007dd60b570p+0", "0x1.3339c0ee13c1ap-2", "0x1.fce8acb69fb2fp-19"),
+    ),
+    (  # a translated base
+        (0.3, -0.2, 0.1), (-0.8, 0.3, 0.4), 1.7,
+        ("0x1.f28bd6943d511p+0", "0x1.a953cdeeffcf6p-1", "0x1.05e730238d56ep-1"),
+        ("-0x1.365870dde13e0p+0", "0x1.eaff3b05f39d1p-1"),
+        ("0x1.2eabcc4e33157p+0", "0x1.14b1aa3aadfb0p-2", "0x1.1be58971466c2p-2"),
+    ),
+    (  # scale 1e3: base (L x, L y, L^2 z), covector (L u, L v, w)
+        (400.0, -700.0, 2e5), (-1200.0, 500.0, 0.9), 1.0,
+        ("0x1.f652b8912e2b2p+10", "0x1.bfbc4f37c9ca8p+8", "0x1.091269f69bec4p+20"),
+        ("-0x1.171ec8e979e6cp+11", "0x1.e7173fb5dcc08p+10"),
+        ("0x1.f652b8912e2b2p+10", "0x1.bfbc4f37c9ca8p+8", "0x1.091269f69bec4p+20"),
+    ),
+]
+
+
+def _hexes(values):
+    return tuple(v.hex() for v in values)
+
+
+def test_flow_exp_map_and_arc_point_are_pinned_bit_for_bit():
+    # any reordering of the kernel's arithmetic moves some last bit
+    for base, cov0, t, point, frame, exp_point in _PINNED_FLOWS:
+        base, cov0 = GroupPoint(*base), FrameCovector(*cov0)
+        state = flow(base, cov0, t)
+        assert _hexes(state.point) == point
+        assert _hexes(state.cov) == (*frame, cov0.hZ.hex())
+        assert _hexes(GeodesicArc(base, cov0, t).point(t)) == point
+        assert _hexes(exp_map(base, cov0)) == exp_point
 
 
 def test_flow_small_vertical_momentum_is_continuous():
