@@ -216,8 +216,10 @@ def beta_array(zeta) -> np.ndarray:
         raise OutOfDomain("beta requires |zeta| < 1/4 on every entry")
     b = np.empty(zeta.shape)
     twist = a <= _TWIST_CUT
-    b[twist] = _beta_twist(a[twist], np)
-    b[~twist] = _beta_null(0.25 - a[~twist], np)
+    if twist.any():  # an empty half costs as much as a small one
+        b[twist] = _beta_twist(a[twist], np)
+    if not twist.all():
+        b[~twist] = _beta_null(0.25 - a[~twist], np)
     return np.copysign(b, zeta)
 
 
@@ -258,14 +260,14 @@ def tau_array(a, b):
 
     x, y, z = _differences(a, b)
     chronological, causal = cone_state(x, y, z)
-    x, y, z = x[chronological], y[chronological], z[chronological]
+    at = np.flatnonzero(chronological)
+    x, y, z = x.take(at), y.take(at), z.take(at)
     m = (x - y) * (x + y)
     bt = beta_array(z / m)
     t = np.sqrt(m)
-    twisted = bt != 0.0
-    t[twisted] = t[twisted] * bt[twisted] / np.sinh(bt[twisted])
+    np.divide(t * bt, np.sinh(bt), out=t, where=bt != 0.0)
     out = np.zeros(chronological.shape)
-    out[chronological] = t
+    out.put(at, t)
     return out, causal
 
 

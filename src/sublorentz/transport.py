@@ -298,7 +298,7 @@ def check_cyclical_monotonicity(
 
     n = len(rows)
     exhaustive = n <= 12
-    rng = np.random.default_rng(seed)
+    rng = None if exhaustive else np.random.default_rng(seed)  # a Generator imports numpy.random
     for k in range(2, min(max_cycle, n) + 1):
         if exhaustive:
             combos = np.array(list(itertools.combinations(range(n), k)))

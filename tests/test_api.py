@@ -54,27 +54,30 @@ with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("sublorentz."))
 assert "dataclasses" not in sys.modules, sorted(m for m in sys.modules if m.startswith("sublorentz."))
-# the LP commands load logging only if something else already has
-import os, tempfile
-from sublorentz.measures_io import sample_chronological_pair, save_measure
-with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-    paths = [os.path.join(tmp, name) for name in ("mu.txt", "nu.txt")]
-    for measure, path in zip(sample_chronological_pair(6, 6, seed=1, weights="random"), paths):
-        save_measure(measure, path)
-    for argv in (["solve", "--mu", paths[0], "--nu", paths[1]],
-                 ["brenier", "--mu", paths[0], "--nu", paths[1], "--out", os.path.join(tmp, "b")]):
-        assert cli.main(argv) == 0, argv
+# the LP commands load logging only if something else already has, and a
+# solve whose support the audit checks exhaustively draws nothing, so it
+# loads no numpy.random (the test process wrote the pair to sys.argv[1])
+import os
+mu, nu, out = (os.path.join(sys.argv[1], name) for name in ("mu.txt", "nu.txt", "b"))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["solve", "--mu", mu, "--nu", nu]) == 0
+    assert "numpy.random" not in sys.modules
+    assert cli.main(["brenier", "--mu", mu, "--nu", nu, "--out", out]) == 0
 assert "logging" not in sys.modules
 """
 
 
-def test_import_layering():
+def test_import_layering(tmp_path):
     # A fresh interpreter: importing the package loads no submodule and no
-    # numpy, the start-up bound commands run without numpy, and solve and
-    # brenier run without logging.
+    # numpy, the start-up bound commands run without numpy, solve and
+    # brenier run without logging, and a 6x6 solve without numpy.random.
+    from sublorentz.measures_io import sample_chronological_pair, save_measure
+
+    for measure, name in zip(sample_chronological_pair(6, 6, seed=1, weights="random"), ("mu.txt", "nu.txt")):
+        save_measure(measure, str(tmp_path / name))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _LAYERING_PROBE], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", _LAYERING_PROBE, str(tmp_path)], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
 

@@ -5,6 +5,7 @@ The Brenier maps take a pair's branch to be in their domain where its gain
 in the cost matrix is > 0, so these tests also hold that tau, and the gain,
 are positive exactly on the chronological pairs."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -59,6 +60,45 @@ def _families():
     for scale in (1e-100, 1e100):
         out.append((_family(rng, 9, scale, 0.0), _family(rng, 14, scale, 1.5)))
     return out
+
+
+def _edge_families():
+    """No chronological pair, then chronological pairs from the origin with
+    every zeta in beta's twist half (|zeta| < 0.2), then every zeta in its
+    null half."""
+    rng = np.random.default_rng(21)
+
+    def ahead(lo, hi, n):
+        x, y = rng.uniform(2.0, 3.0, n), rng.uniform(-0.5, 0.5, n)
+        zeta = rng.uniform(lo, hi, n) * rng.choice([-1.0, 1.0], n)
+        return np.column_stack([x, y, zeta * (x - y) * (x + y)])
+
+    origin = np.zeros((1, 3))
+    return [
+        (_family(rng, 7, 1.0, 0.0), _family(rng, 6, 1.0, -3.0)),
+        (origin, ahead(0.0, 0.199, 40)),
+        (origin, ahead(0.205, 0.245, 40)),
+    ]
+
+
+# the first 16 hex digits of the sha256 of tau_array's tau and causal bytes
+# on _families() and _edge_families(); any change to the kernel's
+# arithmetic shows here
+TAU_ARRAY_SHA256 = [
+    "18aa91607b01ce98", "695304318b618eb2", "000ed2be1351e04d", "86bfc25e9fcc3b03",
+    "1f1535338b80b0f8", "d327c158e8cd2575", "35db8d10afe8e663", "99e444b0b5cc85cc",
+    "45dbead2e41853af", "5f198f99f029ea90", "8d8c294831ae2b1d", "05524c00463b8587",
+    "a5f99a4f3994ae6a",
+]
+
+
+def test_tau_array_bytes_are_pinned():
+    got = []
+    with np.errstate(all="raise"):
+        for mu, nu in _families() + _edge_families():
+            t, causal = tau_array(mu[:, None], nu[None, :])
+            got.append(hashlib.sha256(t.tobytes() + causal.tobytes()).hexdigest()[:16])
+    assert got == TAU_ARRAY_SHA256
 
 
 @pytest.mark.parametrize("k", range(len(_families())))

@@ -479,7 +479,17 @@ def test_solve_logs_pivot_count(caplog):
 def _pinned_lp(seed, n, m, density, stranded):
     """Integer gains 0..3 (many ties, the largest 3), a random mask of
     allowed arcs and integer marginals with zeros; a stranded LP cuts its
-    last source, which carries supply, off every sink."""
+    last source, which carries supply, off every sink.  Where density names
+    a kind, the LP is instead the cost matrix of a random-weight
+    chronological pair or of a uniform cluster and its planar translate."""
+    if isinstance(density, str):
+        mu, nu = (
+            sample_chronological_pair(n, m, seed=seed, weights="random")
+            if density == "random-weight"
+            else _cluster_pair(seed, n, twisted=False)
+        )
+        cm = cost_matrix(mu, nu, P)
+        return cm.values, cm.feasible, mu.weights, nu.weights
     rng = np.random.default_rng(seed)
     gains = rng.integers(0, 4, (n, m)).astype(float)
     allowed = rng.random((n, m)) < density
@@ -494,37 +504,49 @@ def _pinned_lp(seed, n, m, density, stranded):
     return gains, allowed, supplies / supplies.sum(), demands / demands.sum()
 
 
-# (seed, n, m, density, stranded) -> (pivots, degenerate, the first 16 hex
-# digits of the sha256 of the bytes of masses, phi and psi, or None for
-# NoCausalCoupling).  Any change to the pivot rule or the tree update shows
-# here; a change that keeps the pivot sequence keeps every value.
+# (seed, n, m, density or kind, stranded) -> (pivots, degenerate, m_flat_at,
+# the first 16 hex digits of the sha256 of the bytes of masses, phi and psi,
+# or None for NoCausalCoupling).  Any change to the pivot rule or the tree
+# update shows here; a change that keeps the pivot sequence keeps every
+# value.  Once the M part of pricing is flat it prices like none, so a
+# flatness test that fires late keeps every pivot, plan and dual: only
+# m_flat_at shows it.  m_flat_at is -1 where stranded mass or a zero-demand
+# sink keeps the M part from flattening.
 PINNED_PIVOTS = {
-    (1, 5, 7, 1.0, False): (15, 2, "524ac419907b627d"),
-    (2, 6, 6, 0.6, False): (14, 0, None),
-    (3, 8, 5, 0.8, False): (17, 9, "4e16fef32bcb60a8"),
-    (4, 10, 12, 0.5, False): (23, 11, None),
-    (5, 12, 12, 1.0, False): (43, 10, "ec62b149aec71245"),
-    (6, 15, 9, 0.7, False): (37, 12, "e966d35ad787425b"),
-    (7, 16, 20, 0.4, False): (63, 8, "b3e318ca2c0ed878"),
-    (8, 20, 20, 1.0, False): (63, 12, "0a4e34eb8d9b9780"),
-    (9, 24, 18, 0.9, False): (97, 25, "eac8ddde665a10d9"),
-    (10, 30, 30, 1.0, False): (93, 20, "e9b0eb0aaf2e1ce3"),
-    (11, 9, 11, 0.8, True): (18, 7, None),
-    (12, 25, 25, 0.9, True): (83, 20, None),
-    # these log m_flat_at=-1: their zero-demand sinks keep the M part from flattening
-    (14, 14, 12, 0.6, False): (48, 11, "17ae03c16e3b7630"),
-    (15, 100, 100, 0.9, False): (267, 65, "372ba6412b91f27e"),
-    (16, 200, 200, 0.9, False): (485, 95, "09fb7529745a71ac"),
+    (1, 5, 7, 1.0, False): (15, 2, -1, "524ac419907b627d"),
+    (2, 6, 6, 0.6, False): (14, 0, -1, None),
+    (3, 8, 5, 0.8, False): (17, 9, -1, "4e16fef32bcb60a8"),
+    (4, 10, 12, 0.5, False): (23, 11, -1, None),
+    (5, 12, 12, 1.0, False): (43, 10, 27, "ec62b149aec71245"),
+    (6, 15, 9, 0.7, False): (37, 12, 33, "e966d35ad787425b"),
+    (7, 16, 20, 0.4, False): (63, 8, 44, "b3e318ca2c0ed878"),
+    (8, 20, 20, 1.0, False): (63, 12, 39, "0a4e34eb8d9b9780"),
+    (9, 24, 18, 0.9, False): (97, 25, 62, "eac8ddde665a10d9"),
+    (10, 30, 30, 1.0, False): (93, 20, -1, "e9b0eb0aaf2e1ce3"),
+    (11, 9, 11, 0.8, True): (18, 7, -1, None),
+    (12, 25, 25, 0.9, True): (83, 20, -1, None),
+    (14, 14, 12, 0.6, False): (48, 11, -1, "17ae03c16e3b7630"),
+    (15, 100, 100, 0.9, False): (267, 65, -1, "372ba6412b91f27e"),
+    (16, 200, 200, 0.9, False): (485, 95, -1, "09fb7529745a71ac"),
+    # the workload's two kinds: random weights, and a degenerate cluster whose optimum is a permutation
+    (1, 20, 20, "random-weight", False): (140, 0, 53, "e412401673145a17"),
+    (1, 20, 20, "cluster", False): (126, 100, 70, "6d75463d903ec001"),
 }
 
 
-@pytest.mark.parametrize("key", list(PINNED_PIVOTS), ids=lambda k: f"seed{k[0]}-{k[1]}x{k[2]}")
+def _pin_id(key):
+    seed, n, m, density, _ = key
+    return f"seed{seed}-{n}x{m}" + (f"-{density}" if isinstance(density, str) else "")
+
+
+@pytest.mark.parametrize("key", list(PINNED_PIVOTS), ids=_pin_id)
 def test_pivot_sequence_is_pinned(caplog, key):
     fields, result = _debug_fields(caplog, solve_max_transport, *_pinned_lp(*key))
     digest = None
     if result is not None:
         digest = hashlib.sha256(b"".join(a.tobytes() for a in result)).hexdigest()[:16]
-    assert (int(fields["pivots"]), int(fields["degenerate"]), digest) == PINNED_PIVOTS[key]
+    counts = tuple(int(fields[name]) for name in ("pivots", "degenerate", "m_flat_at"))
+    assert counts + (digest,) == PINNED_PIVOTS[key]
 
 
 def _dilated_pair(lam):
