@@ -31,7 +31,7 @@ branch is in the domain where its gain is > 0, exactly where tau is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ DEFAULT_TIE_TOL = 1e-9
 DEFAULT_FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
-class SemiDiscretePotential:
+class SemiDiscretePotential(NamedTuple):
     """min_j (psi_j - c_p(., y_j)) over a finite target family."""
 
     target_atoms: tuple
@@ -130,8 +129,7 @@ def potential_gradient(pot: SemiDiscretePotential, q: GroupPoint) -> FrameCovect
     return _gain_gradient(lam, lam, pot.params.p)
 
 
-@dataclass(frozen=True)
-class MapSample:
+class MapSample(NamedTuple):
     """One atom's ride: source, image and exponential covector.
 
     covector is the frame covector xi at source with image = exp_source(xi);
@@ -176,8 +174,7 @@ def interpolate(sample: MapSample, t: float) -> GroupPoint:
     return exp_map(sample.source, FrameCovector(t * xi.hX, t * xi.hY, t * xi.hZ))
 
 
-@dataclass(frozen=True)
-class TransportMapResult:
+class TransportMapResult(NamedTuple):
     samples: tuple  # MapSample per successfully mapped atom
     mapped: tuple  # indices of the mapped atoms
     skipped: tuple  # (index, reason) pairs for the rest
@@ -264,8 +261,7 @@ def inverse_roundtrip_check(forward: TransportMapResult, backward: TransportMapR
     return worst
 
 
-@dataclass(frozen=True)
-class MongeAmpereReport:
+class MongeAmpereReport(NamedTuple):
     """Per-point change-of-variables audit of an interpolated transport map."""
 
     points: tuple  # (source, image, det, residual)

@@ -91,6 +91,7 @@ _digits = _checked(int, lambda d: d >= 1, "at least 1")
 _seed = _checked(int, lambda s: s >= 0, "a non-negative integer")
 _samples = _checked(int, lambda n: n >= 2, "at least 2")
 _duration = _checked(float, lambda t: t >= 0.0, "a duration >= 0")
+_gap_tol = _checked(float, lambda t: 0.0 <= t < math.inf, "a finite tolerance >= 0")
 _future_covector = _checked(
     _triple, lambda c: is_future_timelike(FrameCovector(*c)), "future-directed timelike"
 )
@@ -119,7 +120,7 @@ class _Parser(argparse.ArgumentParser):
 _FLAGS = {
     "--p": dict(type=_cost_exponent, default=0.5, help="cost exponent in (0,1)"),
     "--seed": dict(type=_seed, default=0, help="seed for any randomized step"),
-    "--tol": dict(type=float, default=1e-8, help="optimality gap tolerance"),
+    "--tol": dict(type=_gap_tol, default=1e-8, help="optimality gap tolerance"),
     "--out": dict(default=None, help="output path or prefix"),
     "--svg": dict(default=None, help="write an SVG plot to this path"),
     "--digits": dict(type=_digits, default=9, help="significant digits in printed numbers"),

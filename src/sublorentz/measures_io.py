@@ -30,12 +30,15 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def save_measure(measure: DiscreteMeasure, path) -> None:
-    lines = [HEADER]
-    for atom, w in zip(measure.atoms, measure.weights):
-        lines.append(f"atom {_fmt(atom.x)} {_fmt(atom.y)} {_fmt(atom.z)} {_fmt(float(w))}")
+def _write_lines(path, lines) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def save_measure(measure: DiscreteMeasure, path) -> None:
+    pairs = zip(measure.atoms, measure.weights)
+    rows = (f"atom {_fmt(a.x)} {_fmt(a.y)} {_fmt(a.z)} {_fmt(float(w))}" for a, w in pairs)
+    _write_lines(path, [HEADER, *rows])
 
 
 def load_measure(path) -> DiscreteMeasure:
@@ -71,7 +74,7 @@ def load_measure(path) -> DiscreteMeasure:
     if not atoms:
         raise ParseError("no atoms: file has a header but no atom records")
     w = np.array(weights, dtype=float)
-    if w.size and np.any(w < 0.0):
+    if np.any(w < 0.0):
         bad = int(np.argmax(w < 0.0))
         raise WeightError(f"atom {bad}: negative weight {w[bad]!r}")
     with np.errstate(over="ignore"):  # an overflowing sum is reported below as inf
@@ -88,17 +91,13 @@ def save_plan(plan: TransportPlan, cost: CostMatrix, path) -> None:
     for i, j in plan.support():
         mass = float(plan.masses[i, j])
         lines.append(f"{i},{j},{_fmt(mass)},{_fmt(mass * float(cost.values[i, j]))}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def save_trajectory(rows, path) -> None:
     """Trajectory CSV with columns t,x,y,z; rows are (t, GroupPoint)."""
-    lines = ["t,x,y,z"]
-    for t, pt in rows:
-        lines.append(f"{_fmt(t)},{_fmt(pt.x)},{_fmt(pt.y)},{_fmt(pt.z)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = (f"{_fmt(t)},{_fmt(pt.x)},{_fmt(pt.y)},{_fmt(pt.z)}" for t, pt in rows)
+    _write_lines(path, ["t,x,y,z", *lines])
 
 
 def sample_diamond(q0: GroupPoint, q1: GroupPoint, n: int, rng, max_tries: int = 4_000_000):

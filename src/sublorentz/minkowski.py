@@ -17,7 +17,7 @@ observed gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,7 @@ def solve_minkowski(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams
     return solve_cost_matrix(planar_cost_matrix(mu, nu, params), mu.weights, nu.weights)
 
 
-@dataclass(frozen=True)
-class RightTranslationVerdict:
+class RightTranslationVerdict(NamedTuple):
     """Outcome of testing q -> q * q0 for transport optimality."""
 
     optimal: bool

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,15 +26,16 @@ from .simplex import longest_path, solve_max_transport
 SUPPORT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class CostParams:
     """Concavity exponent p of the gain tau^p / p, with 0 < p < 1 strict."""
 
+    __slots__ = ("p",)
     p: float
 
-    def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie strictly in (0, 1), got {self.p!r}")
+    def __init__(self, p: float):
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
+        self.p = p
 
     def gain(self, t):
         """tau^p / p, zero where tau <= 0; t is a float or a numpy array."""
@@ -45,19 +46,17 @@ class CostParams:
         return t**self.p / self.p
 
 
-@dataclass(frozen=True)
 class DiscreteMeasure:
     """Finitely many weighted atoms; weights nonnegative, summing to one."""
 
+    __slots__ = ("atoms", "weights")
     atoms: tuple
     weights: np.ndarray
 
-    def __post_init__(self):
-        atoms = tuple(GroupPoint(*a) for a in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if len(atoms) != w.shape[0] or w.ndim != 1:
+    def __init__(self, atoms, weights):
+        atoms = tuple(GroupPoint(*a) for a in atoms)
+        w = np.asarray(weights, dtype=float)
+        if w.ndim != 1 or len(atoms) != w.shape[0]:
             raise ValueError("atoms and weights must have matching length")
         for a in atoms:
             if not all(math.isfinite(v) for v in a):
@@ -70,13 +69,13 @@ class DiscreteMeasure:
             total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
             raise WeightError(f"weights sum to {total!r}, expected 1")
+        self.atoms, self.weights = atoms, w
 
     def __len__(self):
         return len(self.atoms)
 
 
-@dataclass(frozen=True)
-class CostMatrix:
+class CostMatrix(NamedTuple):
     """Pairwise gains and causal feasibility between two atom families.
 
     values[i, j] is tau(x_i, y_j)^p / p for chronological pairs, zero for
@@ -96,8 +95,7 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams) ->
     return CostMatrix(params.gain(t), feasible)
 
 
-@dataclass(frozen=True)
-class TransportPlan:
+class TransportPlan(NamedTuple):
     masses: np.ndarray
     value: float
 
@@ -107,8 +105,7 @@ class TransportPlan:
         return list(zip(rows.tolist(), cols.tolist()))
 
 
-@dataclass(frozen=True)
-class DualPotentials:
+class DualPotentials(NamedTuple):
     phi: np.ndarray
     psi: np.ndarray
 
@@ -241,8 +238,7 @@ def brute_force_plan(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParam
     return TransportPlan(masses, float(best_value))
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     """Outcome of a cyclical monotonicity audit over a plan's support.
 
     worst_violation > 0 means a cycle of support pairs was found whose

@@ -10,7 +10,7 @@ runs on 2026-10-18, in a slow session where a bare interpreter took 60 ms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ from .transport import (
 )
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -54,23 +54,27 @@ with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("sublorentz."))
 assert "dataclasses" not in sys.modules, sorted(m for m in sys.modules if m.startswith("sublorentz."))
-# the LP commands load logging only if something else already has, and a
-# solve whose support the audit checks exhaustively draws nothing, so it
-# loads no numpy.random (the test process wrote the pair to sys.argv[1])
+# the LP commands load logging only if something else already has, a
+# solve whose support the audit checks exhaustively draws nothing, so on a
+# 6x6 pair none of them loads numpy.random, and no command loads
+# dataclasses (the test process wrote the pair to sys.argv[1])
 import os
-mu, nu, out = (os.path.join(sys.argv[1], name) for name in ("mu.txt", "nu.txt", "b"))
+mu, nu, b, i = (os.path.join(sys.argv[1], name) for name in ("mu.txt", "nu.txt", "b", "i"))
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["solve", "--mu", mu, "--nu", nu]) == 0
-    assert "numpy.random" not in sys.modules
-    assert cli.main(["brenier", "--mu", mu, "--nu", nu, "--out", out]) == 0
-assert "logging" not in sys.modules
+    assert cli.main(["brenier", "--mu", mu, "--nu", nu, "--out", b]) == 0
+    assert cli.main(["interpolate", "--mu", mu, "--nu", nu, "--t", "0.5", "--out", i]) == 0
+    assert cli.main(["right-translation", "--mu", mu, "--q0", "1.5,0.2,0"]) == 0
+loaded = [m for m in ("logging", "numpy.random", "dataclasses") if m in sys.modules]
+assert loaded == [], loaded
 """
 
 
 def test_import_layering(tmp_path):
     # A fresh interpreter: importing the package loads no submodule and no
-    # numpy, the start-up bound commands run without numpy, solve and
-    # brenier run without logging, and a 6x6 solve without numpy.random.
+    # numpy, the start-up bound commands run without numpy, and solve,
+    # brenier, interpolate and right-translation on a 6x6 pair run without
+    # logging, numpy.random or dataclasses.
     from sublorentz.measures_io import sample_chronological_pair, save_measure
 
     for measure, name in zip(sample_chronological_pair(6, 6, seed=1, weights="random"), ("mu.txt", "nu.txt")):
@@ -80,6 +84,23 @@ def test_import_layering(tmp_path):
         [sys.executable, "-c", _LAYERING_PROBE, str(tmp_path)], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_imports_dataclasses():
+    # Records are NamedTuples or __slots__ classes; this also covers the
+    # modules the layering probe never loads, such as svg.
+    importers = []
+    for path in sorted((ROOT / "src" / "sublorentz").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if "dataclasses" in (name.split(".")[0] for name in names):
+                importers.append(path.name)
+    assert importers == []
 
 
 def _traced():

@@ -69,6 +69,9 @@ def test_out_of_range_arguments_exit_2(fixture_files, tmp_path):
         ["geodesic", "--cov", "-1,0,1", "--t", "-1"],
         ["geodesic", "--cov", "1,0,0"],
         ["tau", "--from", "0,0,0", "--to", "2,1,0", "--digits", "0"],
+        ["right-translation", "--mu", mu, "--q0", "1.5,0.2,0", "--tol", "nan"],
+        ["right-translation", "--mu", mu, "--q0", "1.5,0.2,0", "--tol", "-1"],
+        ["right-translation", "--mu", mu, "--q0", "1.5,0.2,0", "--tol", "inf"],
     ):
         assert _argparse_exit_code(argv) == 2, argv
     # nothing was written before the rejection
@@ -76,6 +79,7 @@ def test_out_of_range_arguments_exit_2(fixture_files, tmp_path):
     # the ends of each range are accepted
     assert main(["interpolate", "--mu", mu, "--nu", nu, "--t", "0,1", "--out", prefix]) == 0
     assert main(["tau", "--from", "0,0,0", "--to", "2,1,0", "--digits", "1"]) == 0
+    assert main(["right-translation", "--mu", mu, "--q0", "1.5,0.2,0", "--tol", "0"]) == 0
 
 
 # Every option string each subcommand accepts, its own inputs included.

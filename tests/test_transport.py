@@ -61,6 +61,9 @@ def test_measure_validation():
         warnings.simplefilter("error")  # the overflowing sum must not warn
         with pytest.raises(WeightError, match="inf"):
             DiscreteMeasure([(0, 0, 0), (1, 0, 0)], [1e308, 1e308])
+    # a scalar weight is a shape error, not an index error
+    with pytest.raises(ValueError, match="matching length"):
+        DiscreteMeasure([(0, 0, 0)], 1.0)
 
 
 def test_cost_matrix_feasibility_mask():
