@@ -287,7 +287,7 @@ def cmd_brenier(args) -> int:
     for t in args.t:
         pts = [interpolate(s, t) for s in result.samples]
         path = f"{prefix}_t{t:g}.txt"
-        save_measure(DiscreteMeasure(pts, w.copy()), path)
+        save_measure(DiscreteMeasure(pts, w), path)
         print(f"wrote {path}")
     if args.svg:
         from . import svg

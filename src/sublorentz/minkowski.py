@@ -94,7 +94,7 @@ def right_translation_verdict(
     if rel is CausalRelation.UNRELATED:
         raise NoCausalCoupling(f"q0 = {q0!r} is not in the causal future of the identity")
     nu_atoms = tuple(mul(a, q0) for a in mu.atoms)
-    nu = DiscreteMeasure(nu_atoms, np.array(mu.weights, copy=True))
+    nu = DiscreteMeasure(nu_atoms, mu.weights)
 
     # Per-atom time separation of the translation is tau(e, q0) for every
     # atom, since the group difference of (q, q * q0) is exactly q0.

@@ -52,13 +52,13 @@ Design notes:
   shifts its potentials, one Python float at a time through memoryviews of
   the two arrays.  That costs less than gathering the nodes into an index
   array for numpy, at 8 nodes a pivot (20x20) as at 70 (200x200).
-* Reported dual potentials come from the real arcs of the final tree in
-  one walk down it: each subtree hung from the root by an artificial arc
-  is a component, pinned at 0 at its top node, and complementary slackness
-  fixes every node below from its parent.  Per-component offsets are then
-  raised by a longest-path relaxation until every allowed arc satisfies
-  psi[j] - phi[i] >= c[i,j].  This keeps artificial M-parts out of the
-  reported numbers and the duality gap at roundoff scale.
+* Reported dual potentials come from one walk down the real arcs of the
+  final tree (tight_components, which strengthen_duals runs on a plan's
+  support): each subtree hung from the root is a component, 0 at its top
+  node, and complementary slackness fixes each node below from its parent.
+  Per-component offsets are then raised by a longest-path relaxation until
+  every allowed arc satisfies psi[j] - phi[i] >= c[i,j].  This keeps the
+  artificial M-parts out of the duals and the duality gap at roundoff.
 
 A DEBUG record on the "sublorentz" logger reports, per solve, the problem
 size, the pivots, the degenerate pivots (zero step), the pivot after which
@@ -99,7 +99,7 @@ def longest_path(n_nodes, tail, head, weight):
     tolerance and the full rounds end in a cycle too.  That early test starts
     at round 16 and runs every fourth round, so short searches never pay for
     it.  Where potentials exceed about 1e3, one ulp exceeds 1e-13, so a cycle
-    of weight 0 can keep raising its nodes by ulps and come back as well.
+    of weight 0 can creep up by ulps and come back (support pairs make none).
     """
     # 2|pi| + |weight| + 1 stays below this on every round, so the rounding
     # of one edge's relaxation test is below 1.2e-16 times it
@@ -140,6 +140,31 @@ def _raised_cycle(via, tail):
             edges.append(int(via[node]))
             node = int(tail[edges[-1]])
     return np.array(edges, dtype=int)
+
+
+def tight_components(n_nodes, tail, head, gain, starts):
+    """Potentials with pot[head] = pot[tail] + gain on a spanning forest of
+    the edges, 0 at each component's first node in starts (which must meet
+    every component).  Returns (pot, comp, k, loose): the potentials, labels
+    numbered in the order of starts, k labels, and the non-forest edge mask."""
+    adj = [[] for _ in range(n_nodes)]
+    for e, (t, h, g) in enumerate(zip(tail.tolist(), head.tolist(), gain.tolist())):
+        adj[t].append((h, g, e))
+        adj[h].append((t, -g, e))
+    pot, comp, via, k = [0.0] * n_nodes, [-1] * n_nodes, [-1] * n_nodes, 0
+    for top in starts:
+        if comp[top] < 0:
+            comp[top], stack = k, [top]
+            while stack:
+                u = stack.pop()
+                for w, g, e in adj[u]:
+                    if comp[w] < 0:
+                        pot[w], comp[w], via[w] = pot[u] + g, k, e
+                        stack.append(w)
+            k += 1
+    loose = np.ones(len(tail) + 1, dtype=bool)
+    loose[via] = False  # via is -1 at the starts: the spare last entry
+    return np.array(pot), np.array(comp), k, loose[:-1]
 
 
 def solve_max_transport(values, allowed, supplies, demands):
@@ -328,33 +353,17 @@ def solve_max_transport(values, allowed, supplies, demands):
     masses = np.zeros((n, m))
     masses[src, dst] = flow[:n_real]
 
-    # Duals in one walk down the tree: a node hung from the root by its
-    # artificial arc starts a component at 0; below it, psi_j = phi_i + c_ij
-    # for a sink under a source and phi_i = psi_j - c_ij for a source under a sink.
-    step = np.append(cost, np.zeros(root))[pred[:root]]  # 0 on artificial arcs: never read
-    step[n:] = -step[n:]
-    step = step.tolist()
-    pot = [0.0] * root
-    comp = [0] * root
-    for label, top in enumerate(children[root]):
-        comp[top] = label
-        stack = [top]
-        while stack:
-            u = stack.pop()
-            for w in children[u]:
-                pot[w] = pot[u] + step[w]
-                comp[w] = label
-                stack.append(w)
+    # Duals from the real arcs of the tree, 0 at each node hung from the root
+    arcs = [a for a in pred[:root] if a < n_real]
+    pot, comp, k, _ = tight_components(root, tails[arcs], heads[arcs], -cost[arcs], children[root])
 
     # Component offsets: delta[B] - delta[A] >= c_ij - (psi_j - phi_i) for
     # every allowed cross-component arc.  Converges because an improving
     # cycle would contradict primal optimality.
-    comp = np.array(comp)
-    pot = np.array(pot)
     ca, cb = comp[tails], comp[heads]
     cross = ca != cb
     gain = -cost - (pot[heads] - pot[tails])
-    delta, _ = longest_path(len(children[root]), ca[cross], cb[cross], gain[cross])
+    delta, _ = longest_path(k, ca[cross], cb[cross], gain[cross])
     if delta is None:
         raise AssertionError("dual offsets failed to stabilize")
     pot = np.ldexp(pot + delta[comp], scale)

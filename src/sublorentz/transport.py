@@ -21,7 +21,7 @@ import numpy as np
 from .causality import tau_array
 from .errors import InfeasibleDuals, NoCausalCoupling, WeightError
 from .heisenberg import GroupPoint
-from .simplex import longest_path, solve_max_transport
+from .simplex import longest_path, solve_max_transport, tight_components
 
 SUPPORT_TOL = 1e-12
 
@@ -55,7 +55,7 @@ class DiscreteMeasure:
 
     def __init__(self, atoms, weights):
         atoms = tuple(GroupPoint(*a) for a in atoms)
-        w = np.asarray(weights, dtype=float)
+        w = np.array(weights, dtype=float)  # a copy, frozen below once validated
         if w.ndim != 1 or len(atoms) != w.shape[0]:
             raise ValueError("atoms and weights must have matching length")
         for a in atoms:
@@ -69,6 +69,7 @@ class DiscreteMeasure:
             total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
             raise WeightError(f"weights sum to {total!r}, expected 1")
+        w.flags.writeable = False
         self.atoms, self.weights = atoms, w
 
     def __len__(self):
@@ -135,23 +136,25 @@ def strengthen_duals(plan: TransportPlan, cost: CostMatrix) -> DualPotentials:
     beyond the plan's support are tight (degenerate basic arcs).  Potential
     branches then tie at source atoms and gradient-based maps have to skip
     them.  This pass keeps the support equalities (so the pair stays optimal
-    and the duality gap stays at roundoff) and returns the least duals whose
-    off-support feasible slacks are all at least half the largest margin
-    the face allows.
+    and the duality gap stays at roundoff) and returns the least duals >= 0
+    whose off-support feasible slacks are all at least half the largest
+    margin the face allows.
 
-    That margin is a minimum cycle ratio on the constraint graph, found by
-    Dinkelbach steps: starting from a cap of 1024, while longest_path finds
-    a positive cycle at the current margin, the margin drops to the one at
-    which that cycle weighs 0.  So the duals are taken at half the exact
-    margin, and at 512 when no cycle limits it.  A margin of zero can be
-    genuinely unimprovable (ties between optimal plans); the returned duals
-    are then the minimal feasible ones.
+    The support fixes the potentials of each of its k components up to one
+    offset (tight_components).  Each off-support pair is an edge between the
+    offsets of its two components; one inside a component is a self-loop
+    that caps the margin at its slack.  A support pair closing a cycle is a
+    self-loop weighing the cycle's absolute alternating gain sum, with no
+    margin.  From the cap (1024 at most), Dinkelbach steps find the exact
+    margin: while longest_path finds a positive cycle, the margin drops to
+    the one at which that cycle weighs 0.  The duals sit at half the margin,
+    so at 512 when nothing limits it.  A zero margin can be genuinely
+    unimprovable (ties between optimal plans); the duals are then minimal.
 
     The relaxation tolerances are absolute.  As in solve_max_transport,
     when the largest feasible |gain| is below 1 the search runs on the gains
-    multiplied by the power of two that brings it into [1, 2), and the
-    potentials are divided by it, so the cap applies to the scaled gains;
-    gains of 1 or more are used unscaled.
+    times the power of two that brings it into [1, 2), and the potentials are
+    divided by it, so the cap applies to the scaled gains.
     """
     n, m = plan.masses.shape
     on = plan.masses > SUPPORT_TOL
@@ -159,22 +162,25 @@ def strengthen_duals(plan: TransportPlan, cost: CostMatrix) -> DualPotentials:
     fi, fj = np.nonzero(cost.feasible & ~on)
     top = float(np.abs(cost.values[cost.feasible]).max(initial=0.0))
     scale = math.frexp(top)[1] - 1 if 0.0 < top < 1.0 else 0
-    # support pairs bind both ways; other feasible pairs carry the margin
-    tail = np.concatenate([si, n + sj, fi])
-    head = np.concatenate([n + sj, si, n + fj])
     gain = np.ldexp(cost.values[si, sj], -scale)
-    weight = np.concatenate([gain, -gain, np.ldexp(cost.values[fi, fj], -scale)])
-    off = np.arange(weight.size) >= 2 * gain.size
-    margin = 1024.0
-    while (cycle := longest_path(n + m, tail, head, weight + margin * off)[1]) is not None:
-        k = np.count_nonzero(off[cycle])
-        if not k or not margin:
+    pot, comp, k, loose = tight_components(n + m, si, n + sj, gain, range(n + m))
+    np.minimum.at(low := np.full(k, np.inf), comp, pot)
+    pot -= low[comp]  # least 0 on each component, so the offsets are >= 0
+    i, j = np.concatenate([si[loose], fi]), np.concatenate([sj[loose], fj])
+    tail, head, off = comp[i], comp[n + j], np.arange(i.size) >= np.count_nonzero(loose)
+    weight = np.ldexp(cost.values[i, j], -scale) - (pot[n + j] - pot[i])
+    weight[~off] = np.abs(weight[~off])
+    margin = max(0.0, -float(weight[off & (tail == head)].max(initial=-1024.0)))
+    while (cycle := longest_path(k, tail, head, weight + margin * off)[1]) is not None:
+        k_off = np.count_nonzero(off[cycle])
+        if not k_off or not margin:
             raise InfeasibleDuals("support equalities admit no feasible duals")
-        ratio = -float(weight[cycle].sum()) / k
+        ratio = -float(weight[cycle].sum()) / k_off
         if ratio >= margin:  # the cycle weighs 0 at this margin up to roundoff
             break
         margin = max(0.0, ratio)
-    pi = np.ldexp(longest_path(n + m, tail, head, weight + 0.5 * margin * off)[0], scale)
+    delta = longest_path(k, tail, head, weight + 0.5 * margin * off)[0]
+    pi = np.ldexp(pot + delta[comp], scale)
     return DualPotentials(pi[:n], pi[n:])
 
 

@@ -316,6 +316,19 @@ def test_brenier_with_only_weightless_atoms_mapped_exits_4(tmp_path, capsys):
     assert not (tmp_path / "bren_mapped.txt").exists()
 
 
+def test_brenier_on_a_dilated_pair_exits_0(tmp_path, capsys):
+    # under delta_lam the potentials grow like lam^p: the support's own
+    # equalities must not come back as a cycle that admits no duals
+    lam = 1e10
+    paths = []
+    for name, measure in zip("mn", sample_chronological_pair(12, 12, seed=3, weights="random")):
+        atoms = [GroupPoint(lam * q.x, lam * q.y, lam * lam * q.z) for q in measure.atoms]
+        paths.append(tmp_path / f"{name}.txt")
+        save_measure(DiscreteMeasure(atoms, measure.weights), paths[-1])
+    argv = ["brenier", "--mu", str(paths[0]), "--nu", str(paths[1]), "--out", str(tmp_path / "bren")]
+    assert main(argv) == 0, capsys.readouterr().err
+
+
 def test_interpolate_quarter_point(fixture_files, tmp_path):
     mu, nu = fixture_files
     prefix = tmp_path / "disp"

@@ -66,6 +66,15 @@ def test_measure_validation():
         DiscreteMeasure([(0, 0, 0)], 1.0)
 
 
+def test_measure_weights_are_a_frozen_copy():
+    w = np.array([0.5, 0.5])
+    m = DiscreteMeasure([(0, 0, 0), (1, 0, 0)], w)
+    w[0] = 5.0  # the caller's array is not the measure's
+    np.testing.assert_array_equal(m.weights, [0.5, 0.5])
+    with pytest.raises(ValueError):
+        m.weights[0] = 1.0
+
+
 def test_cost_matrix_feasibility_mask():
     mu, nu = _fixture()
     cm = cost_matrix(mu, nu, P)
@@ -185,6 +194,27 @@ def test_strengthen_duals_rejects_a_support_without_duals():
     swapped = np.array([[0.0, 0.5], [0.5, 0.0]])
     with pytest.raises(InfeasibleDuals):
         strengthen_duals(TransportPlan(swapped, float(np.sum(swapped * cm.values))), cm)
+
+
+def _full_support(values):
+    """A 2x2 plan whose four pairs all carry mass: its support closes a cycle."""
+    masses = np.full((2, 2), 0.25)
+    return TransportPlan(masses, float(np.sum(masses * values))), CostMatrix(values, np.ones((2, 2), bool))
+
+
+def test_strengthen_duals_keeps_a_support_cycle_of_zero_sum_tight():
+    # c_ij = a_i + b_j, exact in binary: the cycle's alternating sum is 0
+    values = np.add.outer([0.5, 1.25], [2.0, 0.75])
+    plan, cm = _full_support(values)
+    duals = strengthen_duals(plan, cm)
+    np.testing.assert_array_equal(duals.psi[None, :] - duals.phi[:, None], values)
+
+
+def test_strengthen_duals_rejects_a_support_cycle_of_nonzero_sum():
+    values = np.add.outer([0.5, 1.25], [2.0, 0.75])
+    values[1, 1] += 0.5
+    with pytest.raises(InfeasibleDuals):
+        strengthen_duals(*_full_support(values))
 
 
 def test_strengthen_duals_caps_an_unlimited_margin_at_512():
@@ -577,8 +607,8 @@ def test_dilated_lp_keeps_its_plan_at_tiny_scales(lam):
     assert slack[cm.feasible].min() >= -1e-12 * np.abs(cm.values[cm.feasible]).max()
 
 
-@pytest.mark.parametrize("lam", [1e-20, 1e-24])
-def test_strengthened_duals_keep_their_margin_at_tiny_scales(lam):
+@pytest.mark.parametrize("lam", [1e-20, 1e-24, 1e10, 1e40, 1e140])
+def test_strengthened_duals_keep_their_margin_at_every_scale(lam):
     # the margin of the strengthened duals scales by lam^p like every gain:
     # support pairs stay tight and off-support slacks stay positive
     def margins(mu, nu):
