@@ -51,6 +51,7 @@ def planar_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostPar
             if dx >= abs(dy):
                 feasible[i, j] = True
                 values[i, j] = params.gain(minkowski_tau(a, b))
+    values.flags.writeable = feasible.flags.writeable = False
     return CostMatrix(values, feasible)
 
 

@@ -10,12 +10,11 @@ Design notes:
 * The basis is a spanning tree over sources, sinks and one artificial root
   node.  The initial tree is the all-artificial star (source->root and
   root->sink arcs carrying the marginals), so no phase-1 is needed.
-* Artificial arcs cost M with M symbolic: potentials are kept as two arrays
-  (float part, M coefficient) and reduced costs are compared
-  lexicographically, M coefficient first, never through a literal large
-  float.  Mass left on an artificial arc at optimality is therefore an
-  exact certificate that no admissible coupling exists.  Artificial arcs
-  are never priced, so once one leaves the basis it stays out.
+* Artificial arcs cost M with M symbolic: each potential is one complex
+  number, M coefficient + i * float part, never a literal large float.
+  Mass left on an artificial arc at optimality is therefore an exact
+  certificate that no admissible coupling exists.  Artificial arcs are
+  never priced, so once one leaves the basis it stays out.
 * The M coefficient of every real node is exactly -1 or +1: every
   artificial arc touches the root, which never moves and has potential 0,
   and real arcs carry no M part, so a node's coefficient is the orientation
@@ -26,15 +25,17 @@ Design notes:
   simplex of Bonneel, van de Panne, Paris & Heidrich (2011): reduced costs
   of the allowed arcs are evaluated with numpy in blocks of ceil(sqrt(#arcs))
   arcs, each search resumes where the previous one stopped, and the best arc
-  of the first block holding an eligible arc enters.  Basic arcs are priced
-  at +inf, so a block's best arc is one argmin that no basic arc can win.
-  A basic real arc's M part is exactly 0 (the M coefficients are whole
-  numbers), so when a block's least M part is negative, the best float part
-  among the arcs at that least M part enters; otherwise the best float part
-  among the arcs with M part 0 does, if it is below -tol.  Once the M
+  of the first block holding an eligible arc enters.  Two numpy facts make
+  the best arc one complex argmin: complex + and - act on each part alone,
+  so a reduced cost's parts are the float sums, bit for bit; and argmin
+  orders by real part, then imaginary part, returning the first index on
+  ties.  So the least M part wins, then the least float part, and the arc
+  enters if (M part, float part) < (0, -tol).  Basic arcs are priced at
+  +inf i; a basic real arc's M part is exactly 0 (the M coefficients are
+  whole numbers), so no argmin picks one over an eligible arc.  Once the M
   coefficients of all real nodes are equal (their sum says when), every
   real arc's M part is 0 and stays 0, so pricing compares the float parts
-  alone.
+  alone, with float prices and the imaginary parts of the potentials.
 * Anti-cycling uses strongly feasible trees (Cunningham 1976): every tree
   arc carrying zero flow points toward the root.  The initial star is
   strongly feasible because a sink with zero demand gets its artificial arc
@@ -50,7 +51,7 @@ Design notes:
   re-hang then read the paths.  It re-hangs only the subtree that the
   leaving arc cuts off, and the walk that sets that subtree's depths also
   shifts its potentials, one Python float at a time through memoryviews of
-  the two arrays.  That costs less than gathering the nodes into an index
+  their two parts.  That costs less than gathering the nodes into an index
   array for numpy, at 8 nodes a pivot (20x20) as at 70 (200x200).
 * Reported dual potentials come from one walk down the real arcs of the
   final tree (tight_components, which strengthen_duals runs on a plan's
@@ -170,14 +171,16 @@ def tight_components(n_nodes, tail, head, gain, starts):
 def solve_max_transport(values, allowed, supplies, demands):
     """Solve the maximization transportation problem.
 
-    values: (n, m) array of arc gains; entries at disallowed arcs ignored.
+    values: (n, m) array of arc gains, finite on allowed arcs; entries at
+    disallowed arcs are ignored, so forbid an arc there, not with -inf.
     allowed: (n, m) boolean array of admissible arcs.
-    supplies/demands: nonnegative vectors with equal sums.
+    supplies/demands: finite nonnegative vectors with equal sums.
 
     Returns (x, phi, psi) with x the optimal (n, m) mass matrix and duals
     satisfying psi[j] - phi[i] >= c[i,j] on allowed arcs, with equality on
     every basic (hence every support) arc.  Raises NoCausalCoupling when the
-    allowed-arc structure cannot route the full mass.
+    allowed-arc structure cannot route the full mass, and ValueError naming
+    the entry on a non-finite gain or marginal or a negative marginal.
 
     The pivot and relaxation tolerances are absolute.  When the largest
     allowed |gain| is below 1, the LP is solved with the gains multiplied by
@@ -192,6 +195,10 @@ def solve_max_transport(values, allowed, supplies, demands):
     n, m = c.shape
     if ok.shape != (n, m) or len(a) != n or len(b) != m:
         raise ValueError("inconsistent problem dimensions")
+    for name, marginal in (("supply", a), ("demand", b)):
+        for i, v in enumerate(marginal):
+            if not 0.0 <= v < math.inf:  # also nan
+                raise ValueError(f"{name} {i} is {v!r}; marginals must be finite and >= 0")
     if abs(sum(a) - sum(b)) > 1e-9:
         raise ValueError("supplies and demands must balance")
 
@@ -204,11 +211,19 @@ def solve_max_transport(values, allowed, supplies, demands):
     tails = src
     heads = n + dst
     cost = -c[src, dst]
+    if not np.isfinite(cost).all():
+        e = int(np.isfinite(cost).argmin())
+        raise ValueError(f"gain {float(-cost[e])!r} on allowed arc ({src[e]}, {dst[e]}) is not finite")
     # The tolerances are absolute: gains below 1 are solved scaled into [1, 2).
     top = float(np.abs(cost).max(initial=0.0))
     scale = math.frexp(top)[1] - 1 if 0.0 < top < 1.0 else 0
     cost = np.ldexp(cost, -scale)
     price = cost.copy()  # +inf on basic arcs, so that no argmin picks one
+    # the same prices as M part + i * float part, like the potentials pi;
+    # set parts through .real and .imag, since 1j * inf is nan + inf j
+    price_mf = np.zeros(n_real, dtype=complex)
+    price_mf_f = price_mf.imag
+    price_mf_f[:] = cost
     flow = [0.0] * n_real + a + b
 
     parent = [root] * (root + 1)
@@ -218,8 +233,8 @@ def solve_max_transport(values, allowed, supplies, demands):
     children = [[] for _ in range(root + 1)]
     children[root] = list(range(root))
     parent[root], pred[root], depth[root] = -1, -1, 0
-    pi_f = np.zeros(root + 1)
-    pi_m = np.zeros(root + 1)
+    pi = np.zeros(root + 1, dtype=complex)
+    pi_f, pi_m = pi.imag, pi.real
     pi_m[:root] = -1.0  # u -> root at cost M: pi_u = -M
     m_sum = -root  # of pi_m over the real nodes: flat at -root or root
     for j in range(m):
@@ -231,7 +246,7 @@ def solve_max_transport(values, allowed, supplies, demands):
 
     block = math.isqrt(n_real - 1) + 1 if n_real else 1
     blocks = [
-        (lo, tails[lo:lo + block], heads[lo:lo + block], price[lo:lo + block])
+        (lo, tails[lo:lo + block], heads[lo:lo + block], price_mf[lo:lo + block], price[lo:lo + block])
         for lo in range(0, n_real, block)
     ]
     next_block = 0
@@ -241,22 +256,18 @@ def solve_max_transport(values, allowed, supplies, demands):
         # Block search: the best eligible arc of the first block holding one.
         entering = -1
         for scan in range(len(blocks)):
-            lo, t, h, block_price = blocks[(next_block + scan) % len(blocks)]
-            rc_f = block_price + pi_f[t] - pi_f[h]
-            pick, sigma_m = rc_f, 0.0
-            if m_flat_at < 0:
-                # M coefficients are whole numbers and decide first; a basic
-                # real arc's is exactly 0, so a negative min is a nonbasic arc's
-                rc_m = pi_m[t] - pi_m[h]
-                least = float(np.minimum.reduce(rc_m))
-                if least < -0.5:
-                    pick, sigma_m = np.where(rc_m == least, rc_f, np.inf), least
-                else:
-                    pick = np.where(rc_m < 0.5, rc_f, np.inf)
-            k = int(pick.argmin())
-            if sigma_m < 0.0 or pick.item(k) < -_PIVOT_TOL:
+            lo, t, h, block_mf, block_price = blocks[(next_block + scan) % len(blocks)]
+            if m_flat_at < 0:  # the least M part decides, then the float part
+                rc = block_mf + pi[t] - pi[h]
+                k = int(rc.argmin())
+                sigma = rc.item(k)
+                sigma_m, sigma_f = sigma.real, sigma.imag
+            else:
+                rc = block_price + pi_f[t] - pi_f[h]
+                k = int(rc.argmin())
+                sigma_m, sigma_f = 0.0, rc.item(k)
+            if (sigma_m, sigma_f) < (0.0, -_PIVOT_TOL):
                 entering = lo + k
-                sigma_f = rc_f.item(k)
                 next_block = (next_block + scan + 1) % len(blocks)
                 break
         if entering < 0:
@@ -303,9 +314,9 @@ def solve_max_transport(values, allowed, supplies, demands):
             degenerate += 1
 
         leaving = pred[path[i]]
-        price[entering] = math.inf
+        price[entering] = price_mf_f[entering] = math.inf
         if leaving < n_real:
-            price[leaving] = cost[leaving]
+            price[leaving] = price_mf_f[leaving] = cost[leaving]
 
         # Re-hang the cut-off subtree: reverse the tree path from the
         # entering arc's endpoint inside it up to the leaving arc.

@@ -81,7 +81,8 @@ class CostMatrix(NamedTuple):
 
     values[i, j] is tau(x_i, y_j)^p / p for chronological pairs, zero for
     null or unrelated ones; feasible[i, j] is True unless the pair is
-    causally unrelated.
+    causally unrelated.  The builders make both arrays read-only, since the
+    LP, strengthen_duals, the maps and the audit share them.
     """
 
     values: np.ndarray
@@ -93,7 +94,9 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams) ->
     x = np.array(mu.atoms, dtype=float)
     y = np.array(nu.atoms, dtype=float)
     t, feasible = tau_array(x[:, None, :], y[None, :, :])
-    return CostMatrix(params.gain(t), feasible)
+    values = params.gain(t)
+    values.flags.writeable = feasible.flags.writeable = False
+    return CostMatrix(values, feasible)
 
 
 class TransportPlan(NamedTuple):

@@ -14,6 +14,7 @@ from sublorentz.causality import tau
 from sublorentz.errors import InfeasibleDuals, NoCausalCoupling, WeightError
 from sublorentz.heisenberg import IDENTITY, GroupPoint, mul
 from sublorentz.measures_io import sample_chronological_pair
+from sublorentz.minkowski import planar_cost_matrix
 from sublorentz.simplex import solve_max_transport
 from sublorentz.transport import (
     SUPPORT_TOL,
@@ -26,6 +27,7 @@ from sublorentz.transport import (
     cost_matrix,
     duality_gap,
     lorentz_wasserstein,
+    solve_cost_matrix,
     solve_kantorovich,
     strengthen_duals,
 )
@@ -73,6 +75,16 @@ def test_measure_weights_are_a_frozen_copy():
     np.testing.assert_array_equal(m.weights, [0.5, 0.5])
     with pytest.raises(ValueError):
         m.weights[0] = 1.0
+
+
+@pytest.mark.parametrize("build", [cost_matrix, planar_cost_matrix])
+def test_cost_matrices_are_read_only(build):
+    mu, nu = _fixture()
+    cm = build(mu, nu, P)
+    with pytest.raises(ValueError):
+        cm.values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        cm.feasible[0, 0] = False
 
 
 def test_cost_matrix_feasibility_mask():
@@ -580,6 +592,72 @@ def test_pivot_sequence_is_pinned(caplog, key):
         digest = hashlib.sha256(b"".join(a.tobytes() for a in result)).hexdigest()[:16]
     counts = tuple(int(fields[name]) for name in ("pivots", "degenerate", "m_flat_at"))
     assert counts + (digest,) == PINNED_PIVOTS[key]
+
+
+def test_complex_argmin_orders_by_real_part_then_imaginary_part():
+    # the simplex prices M part + i * float part with one argmin
+    assert np.array([1 - 5j, 0 + 2j, 0 + 1j, -1 + 9j, -1 + 9j]).argmin() == 3
+    assert np.array([0 + 2j, 0 + 1j, 1 - 5j, 0 + 1j]).argmin() == 1  # first of a tie
+    assert np.array([-1 + 9j, -2 + 9j, -2 + 3j, 0 - 9j]).argmin() == 2
+
+
+def test_complex_argmin_ranks_an_infinite_imaginary_part_last_at_its_real_part():
+    prices = np.zeros(4, dtype=complex)
+    prices.imag = [math.inf, 1e300, math.inf, -1.0]  # 1j * inf would be nan + inf j
+    prices.real = [0.0, 0.0, -2.0, 2.0]
+    assert prices.argmin() == 2  # a least real part wins even at +inf
+    prices.real[2] = 0.0
+    assert prices.argmin() == 1
+
+
+def test_complex_sum_of_potentials_is_the_float_sum_of_each_part():
+    rng = np.random.default_rng(7)
+    price, a, b = (rng.standard_normal(1000) * 10.0 ** rng.integers(-8, 8, 1000) for _ in range(3))
+    m_a, m_b = (rng.integers(-1, 2, 1000).astype(float) for _ in range(2))
+    price[::7] = math.inf
+    cprice, ca, cb = (np.zeros(1000, dtype=complex) for _ in range(3))
+    cprice.imag, ca.imag, cb.imag, ca.real, cb.real = price, a, b, m_a, m_b
+    rc = cprice + ca - cb
+    assert rc.imag.tobytes() == (price + a - b).tobytes()
+    assert rc.real.tobytes() == (m_a - m_b).tobytes()
+
+
+def test_solve_returns_float64_and_leaves_its_inputs_alone():
+    values, allowed, supplies, demands = _pinned_lp(5, 12, 12, 1.0, False)
+    copies = [np.array(x) for x in (values, allowed, supplies, demands)]
+    result = solve_max_transport(values, allowed, supplies, demands)
+    assert all(r.dtype == np.float64 for r in result)
+    for x, y in zip((values, allowed, supplies, demands), copies):
+        assert x.tobytes() == y.tobytes()
+
+
+# case -> (gain at (1, 0), supplies, demands, the error message)
+_INVALID = {
+    "nan supply": (1.0, [math.nan, 1.0], [1.0, 0.0], "supply 0 is nan"),
+    "negative supply": (1.0, [1.5, -0.5], [0.5, 0.5], "supply 1 is -0.5"),
+    "infinite demand": (1.0, [0.5, 0.5], [math.inf, 0.5], "demand 0 is inf"),
+    "nan gain": (math.nan, [0.5, 0.5], [0.5, 0.5], r"gain nan on allowed arc \(1, 0\)"),
+    "-inf gain": (-math.inf, [0.5, 0.5], [0.5, 0.5], r"gain -inf on allowed arc \(1, 0\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_INVALID))
+def test_solve_rejects_non_finite_or_negative_input(case):
+    gain, supplies, demands, message = _INVALID[case]
+    values = np.ones((2, 2))
+    values[1, 0] = gain
+    allowed = np.ones((2, 2), dtype=bool)
+    with pytest.raises(ValueError, match=message):
+        solve_max_transport(values, allowed, supplies, demands)
+    with pytest.raises(ValueError, match=message):
+        solve_cost_matrix(CostMatrix(values, allowed), supplies, demands)
+
+
+def test_solve_ignores_the_gain_of_a_forbidden_arc():
+    # an arc is forbidden through allowed, not through its gain
+    values = np.array([[1.0, 1.0], [math.nan, 1.0]])
+    masses, _, _ = solve_max_transport(values, np.isfinite(values), [0.5, 0.5], [0.5, 0.5])
+    np.testing.assert_array_equal(masses, np.eye(2) / 2)
 
 
 def _dilated_pair(lam):
