@@ -22,13 +22,14 @@ Each kernel comes twice.  The scalar functions (``classify``, ``tau``,
 ``beta``) take GroupPoints and serve single pairs.  The array kernels
 (``classify_array``, ``tau_array``, ``beta_array``) take float arrays whose
 last axis holds (x, y, z) and broadcast over the leading axes, so one call
-covers every pair of two atom families.  Both apply ``cone_state`` to
-``heisenberg.group_difference``, which takes arrays too, so their masks
-agree bit for bit.  ``beta`` and ``beta_array`` run one straight-line kernel,
-a fixed number of Newton steps from a closed-form start, on floats or on
-arrays.  They agree bit for bit for |zeta| <= 0.2; beyond, numpy's expm1 and
-log may differ from the math module's in the last bit, and so may beta, by a
-few ulp.
+covers every pair of two atom families.  Both apply ``cone_state`` to the
+plain (x, y, z) of ``heisenberg._difference``, the one difference kernel,
+on floats or on arrays, so their masks agree bit for bit; no GroupPoint is
+built for the difference.  ``beta`` and ``beta_array`` run one
+straight-line kernel, a fixed number of Newton steps from a closed-form
+start, on floats or on arrays.  They agree bit for bit for |zeta| <= 0.2;
+beyond, numpy's expm1 and log may differ from the math module's in the last
+bit, and so may beta, by a few ulp.
 
 Only the array kernels import numpy, inside their bodies, so the scalar
 layers (this module, ``heisenberg``, ``geodesics``) load without it.
@@ -41,7 +42,7 @@ import math
 from typing import NamedTuple
 
 from .errors import NotCausalChain, NotChronological, OutOfDomain
-from .heisenberg import GroupPoint, group_difference
+from .heisenberg import GroupPoint, _difference
 
 DEFAULT_SLACK = 1e-12
 
@@ -55,6 +56,10 @@ class CausalRelation(enum.Enum):
     CHRONOLOGICAL = "Chronological"
     CAUSAL_NULL = "CausalNull"
     UNRELATED = "Unrelated"
+
+
+# the members in definition order, bound once: classify looks up none per call
+_CHRONOLOGICAL, _CAUSAL_NULL, _UNRELATED = CausalRelation
 
 
 def cone_state(x, y, z):
@@ -86,22 +91,21 @@ def classify(q0: GroupPoint, q: GroupPoint) -> CausalRelation:
     compared with DEFAULT_SLACK * S, S = x^2 + y^2 + 4|z|, so a pair with
     x > 0 is null when |F| <= DEFAULT_SLACK * S, whatever its scale.
     """
-    d = group_difference(q0, q)
-    chronological, causal = cone_state(d.x, d.y, d.z)
+    chronological, causal = cone_state(*_difference(q0, q))
     if chronological:
-        return CausalRelation.CHRONOLOGICAL
+        return _CHRONOLOGICAL
     if causal:
-        return CausalRelation.CAUSAL_NULL
-    return CausalRelation.UNRELATED
+        return _CAUSAL_NULL
+    return _UNRELATED
 
 
 def _differences(a, b):
-    """group_difference of broadcast point arrays whose last axis is (x, y, z)."""
+    """(x, y, z) differences of broadcast point arrays whose last axis is (x, y, z)."""
     import numpy as np
 
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    return group_difference(GroupPoint(a[..., 0], a[..., 1], a[..., 2]), GroupPoint(b[..., 0], b[..., 1], b[..., 2]))
+    return _difference((a[..., 0], a[..., 1], a[..., 2]), (b[..., 0], b[..., 1], b[..., 2]))
 
 
 def classify_array(a, b):
@@ -166,9 +170,12 @@ def alpha(t: float) -> float:
     """(sinh(2t) - 2t) / (8 sinh(t)^2), extended by alpha(0) = 0.
 
     Odd and strictly increasing with range (-1/4, 1/4).  The series of
-    ``_alpha_pair`` up to |t| = 1.6, and 1/4 - g beyond.
+    ``_alpha_pair`` up to |t| = 1.6, 1/4 - g beyond, and the limit +-1/4 at
+    t = +-inf, where log 2g would be inf - inf.  nan stays nan.
     """
     a = abs(t)
+    if a == math.inf:
+        return math.copysign(0.25, t)
     v = _alpha_pair(a, math)[0] if a <= 1.6 else 0.25 - 0.5 * math.exp(_log_2g_pair(a, math)[0])
     return v if t >= 0.0 else -v
 
@@ -234,17 +241,17 @@ def tau(q0: GroupPoint, q: GroupPoint) -> float:
     Pairs that :func:`classify` calls null, within DEFAULT_SLACK * S of the
     boundary, get tau = 0.
     """
-    d = group_difference(q0, q)
-    if not cone_state(d.x, d.y, d.z)[0]:
+    x, y, z = _difference(q0, q)
+    if not cone_state(x, y, z)[0]:
         return 0.0
-    return _twist_and_separation(d)[1]
+    return _twist_and_separation(x, y, z)[1]
 
 
-def _twist_and_separation(d: GroupPoint):
-    """(b, tau) of a chronological group difference d: m = x^2 - y^2,
+def _twist_and_separation(x: float, y: float, z: float):
+    """(b, tau) of a chronological group difference (x, y, z): m = x^2 - y^2,
     b = beta(z / m) and tau = sqrt(m) * b / sinh(b), or sqrt(m) at b = 0."""
-    m = (d.x - d.y) * (d.x + d.y)
-    b = beta(d.z / m)
+    m = (x - y) * (x + y)
+    b = beta(z / m)
     if b == 0.0:
         return b, math.sqrt(m)
     return b, math.sqrt(m) * b / math.sinh(b)
@@ -289,7 +296,7 @@ def causal_diamond_bbox(q0: GroupPoint, q1: GroupPoint):
     """
     if classify(q0, q1) is not CausalRelation.CHRONOLOGICAL:
         raise NotChronological(f"{q1!r} is not chronologically after {q0!r}")
-    x1 = group_difference(q0, q1).x
+    x1 = _difference(q0, q1)[0]
     zmax = 0.25 * x1 * x1
     return ((0.0, x1), (-x1, x1), (-zmax, zmax))
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .causality import _twist_and_separation, cone_state
 from .errors import NotChronological, OutOfDomain
-from .heisenberg import FrameCovector, GroupPoint, group_difference, is_future_timelike, mul
+from .heisenberg import FrameCovector, GroupPoint, _difference, is_future_timelike, mul
 
 # Below this |s| the f-factors switch to 3-term series; the closed forms
 # cancel catastrophically while the truncation error is ~s^6.
@@ -113,11 +113,11 @@ def log_map(q0: GroupPoint, q: GroupPoint) -> FrameCovector:
     Exact inverse of exp_map on the chronological future; the energy of the
     result is T^2/2.  Raises NotChronological outside the open cone.
     """
-    d = group_difference(q0, q)
-    if not cone_state(d.x, d.y, d.z)[0]:
+    x, y, z = _difference(q0, q)
+    if not cone_state(x, y, z)[0]:
         raise NotChronological(f"{q!r} is not chronologically after {q0!r}")
-    b, t_sep = _twist_and_separation(d)
-    psi = math.atanh(d.y / d.x) - b
+    b, t_sep = _twist_and_separation(x, y, z)
+    psi = math.atanh(y / x) - b
     return FrameCovector(-t_sep * math.cosh(psi), t_sep * math.sinh(psi), 2.0 * b)
 
 

@@ -56,15 +56,22 @@ def mul(a: GroupPoint, b: GroupPoint) -> GroupPoint:
     return GroupPoint(ax + bx, ay + by, az + bz + 0.5 * (ax * by - bx * ay))
 
 
+def _difference(a, b):
+    """a^{-1} * b as a plain (x, y, z) tuple, bit for bit (-a) * b with the
+    negations folded into the subtractions.  a and b are any (x, y, z)
+    triples of floats, or of numpy arrays that broadcast together."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return bx - ax, by - ay, (bz - az) + 0.5 * (ay * bx - ax * by)
+
+
 def group_difference(a: GroupPoint, b: GroupPoint) -> GroupPoint:
     """a^{-1} * b: the position of b as seen from a after left translation.
 
-    Bit for bit the product (-a) * b, with the negations folded into the
-    subtractions.  The coordinates may also be numpy arrays that
-    broadcast against each other, which gives the differences of many
-    pairs at once.
+    The GroupPoint of ``_difference``, the one difference kernel, so the
+    coordinates may also be broadcasting numpy arrays.
     """
-    return GroupPoint(b.x - a.x, b.y - a.y, (b.z - a.z) + 0.5 * (a.y * b.x - a.x * b.y))
+    return GroupPoint(*_difference(a, b))
 
 
 def coord_to_frame(base: GroupPoint, cov: CoordCovector) -> FrameCovector:

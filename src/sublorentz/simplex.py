@@ -102,6 +102,8 @@ def longest_path(n_nodes, tail, head, weight):
     it.  Where potentials exceed about 1e3, one ulp exceeds 1e-13, so a cycle
     of weight 0 can creep up by ulps and come back (support pairs make none).
     """
+    if not len(tail):  # the zeros the first round would return
+        return np.zeros(n_nodes), None
     # 2|pi| + |weight| + 1 stays below this on every round, so the rounding
     # of one edge's relaxation test is below 1.2e-16 times it
     scale = (2 * n_nodes + 3) * float(np.abs(weight).max(initial=0.0)) + 1.0

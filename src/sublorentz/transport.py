@@ -12,6 +12,7 @@ optimal plan defines the Lorentz-Wasserstein distance (p * value)^(1/p).
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 from typing import NamedTuple
@@ -49,7 +50,7 @@ class CostParams:
 class DiscreteMeasure:
     """Finitely many weighted atoms; weights nonnegative, summing to one."""
 
-    __slots__ = ("atoms", "weights")
+    __slots__ = ("atoms", "weights", "_coords")
     atoms: tuple
     weights: np.ndarray
 
@@ -58,9 +59,13 @@ class DiscreteMeasure:
         w = np.array(weights, dtype=float)  # a copy, frozen below once validated
         if w.ndim != 1 or len(atoms) != w.shape[0]:
             raise ValueError("atoms and weights must have matching length")
-        for a in atoms:
-            if not all(math.isfinite(v) for v in a):
-                raise ValueError(f"non-finite atom {a!r}")
+        # (n, 3) coordinates for cost_matrix; array.array, unlike numpy,
+        # raises TypeError on a non-number such as the string "1.0"
+        coords = np.array(array.array("d", itertools.chain.from_iterable(atoms))).reshape(-1, 3)
+        bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+        if bad.size:
+            raise ValueError(f"non-finite atom {atoms[bad[0]]!r}")
+        coords.flags.writeable = False
         if not np.all(np.isfinite(w)):
             raise WeightError("non-finite weight")
         if np.any(w < 0.0):
@@ -70,7 +75,7 @@ class DiscreteMeasure:
         if abs(total - 1.0) > 1e-12:
             raise WeightError(f"weights sum to {total!r}, expected 1")
         w.flags.writeable = False
-        self.atoms, self.weights = atoms, w
+        self.atoms, self.weights, self._coords = atoms, w, coords
 
     def __len__(self):
         return len(self.atoms)
@@ -91,9 +96,7 @@ class CostMatrix(NamedTuple):
 
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams) -> CostMatrix:
     """Gains and feasibility of every pair, from one broadcast of tau_array."""
-    x = np.array(mu.atoms, dtype=float)
-    y = np.array(nu.atoms, dtype=float)
-    t, feasible = tau_array(x[:, None, :], y[None, :, :])
+    t, feasible = tau_array(mu._coords[:, None, :], nu._coords[None, :, :])
     values = params.gain(t)
     values.flags.writeable = feasible.flags.writeable = False
     return CostMatrix(values, feasible)

@@ -197,3 +197,30 @@ def test_every_field_has_a_reader():
         if not field.startswith("_") and field not in readers[path]
     ]
     assert unread == [], "read by nothing: " + ", ".join(unread)
+
+
+def _body_nodes(module, name):
+    """Every AST node in the body of a top-level function (not its signature)."""
+    path = ROOT / "src" / "sublorentz" / f"{module}.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return [sub for stmt in node.body for sub in ast.walk(stmt)]
+    raise AssertionError(f"{module}.py defines no {name}")
+
+
+def test_scalar_kernels_build_no_difference_record():
+    # classify, tau and log_map take the group difference as three plain
+    # floats from heisenberg._difference: no group_difference call and no
+    # GroupPoint per pair, and classify returns the members bound once at
+    # module level instead of looking them up on CausalRelation
+    found = []
+    for module, name in (("causality", "classify"), ("causality", "tau"), ("geodesics", "log_map")):
+        for node in _body_nodes(module, name):
+            if isinstance(node, ast.Name) and node.id in ("group_difference", "GroupPoint"):
+                found.append(f"{module}.{name} reads {node.id}")
+            elif isinstance(node, ast.Attribute) and node.attr == "group_difference":
+                found.append(f"{module}.{name} reads .group_difference")
+    for node in _body_nodes("causality", "classify"):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "CausalRelation":
+            found.append(f"causality.classify reads CausalRelation.{node.attr}")
+    assert found == []

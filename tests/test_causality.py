@@ -76,6 +76,10 @@ def test_alpha_is_odd_with_limit_quarter():
     assert alpha(0.0) == 0.0
     assert alpha(-1.3) == -alpha(1.3)
     assert 0.2499 < alpha(10.0) < 0.25
+    # the limits themselves: log 2g is inf - inf there, so alpha returns them
+    assert alpha(1e10) == alpha(math.inf) == 0.25
+    assert alpha(-1e10) == alpha(-math.inf) == -0.25
+    assert math.isnan(alpha(math.nan))
 
 
 def test_alpha_prime_matches_finite_difference():

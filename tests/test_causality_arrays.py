@@ -101,6 +101,69 @@ def test_tau_array_bytes_are_pinned():
     assert got == TAU_ARRAY_SHA256
 
 
+def _scalar_pairs():
+    """The pairs of _families() and _edge_families(), then planar pairs with
+    b = 0 (a shared z, and a on the z axis or both points at y = 0, so the
+    difference has z = 0 exactly) and pairs from the origin within relative
+    distances 1e-14 .. 1e-4 of either side of the null boundary."""
+    rng = np.random.default_rng(22)
+    pairs = [(a, b) for mu, nu in _families() + _edge_families() for a in mu for b in nu]
+    for scale in (1e-3, 1.0, 1e3):
+        for axes in ([0, 1], [1]):
+            a, b = _family(rng, 6, scale, 0.0), _family(rng, 6, scale, 1.5)
+            a[:, axes] = 0.0
+            b[:, axes[1:]] = 0.0
+            b[:, 2] = a[:, 2]
+            pairs += list(zip(a, b))
+    origin = np.zeros(3)
+    for x, y in rng.uniform([1.0, -0.9], [2.0, 0.9], (6, 2)):
+        m = (x - y) * (x + y)
+        for eps in (1e-14, 1e-12, 1e-10, 1e-7, 1e-4):
+            for sign in (-1.0, 1.0):
+                pairs.append((origin, np.array([x, y, sign * 0.25 * m * (1.0 + sign * eps)])))
+    return [(GroupPoint(*map(float, a)), GroupPoint(*map(float, b))) for a, b in pairs]
+
+
+# the first 16 hex digits of the sha256 of each scalar kernel's outputs on
+# _scalar_pairs(), and of group_difference on the same pairs as floats and
+# as one pair of arrays; any change to the kernels' arithmetic shows here
+SCALAR_SHA256 = {
+    "classify": "bfdd90243612e9d4",
+    "tau": "7bb2057cea4ba8e7",
+    "log_map": "59728df6fab962ed",
+    "group_difference": "0ac5fdb504a7083c",
+    "group_difference_array": "d6575b91d86bf323",
+}
+
+
+def test_scalar_kernel_bytes_are_pinned():
+    from sublorentz.errors import NotChronological
+    from sublorentz.geodesics import log_map
+
+    def digest(chunks):
+        return hashlib.sha256(b"".join(chunks)).hexdigest()[:16]
+
+    def floats(values):
+        return np.array(values, dtype=float).tobytes()
+
+    def logged(a, b):
+        try:
+            return floats(log_map(a, b))
+        except NotChronological:
+            return b"-"
+
+    pairs = _scalar_pairs()
+    firsts, seconds = (GroupPoint(*np.array(side).T) for side in zip(*pairs))
+    got = {
+        "classify": digest(classify(a, b).value.encode() for a, b in pairs),
+        "tau": digest(floats(tau(a, b)) for a, b in pairs),
+        "log_map": digest(logged(a, b) for a, b in pairs),
+        "group_difference": digest(floats(group_difference(a, b)) for a, b in pairs),
+        "group_difference_array": digest(c.tobytes() for c in group_difference(firsts, seconds)),
+    }
+    assert got == SCALAR_SHA256
+
+
 @pytest.mark.parametrize("k", range(len(_families())))
 def test_array_kernels_match_scalar_kernels(k):
     mu, nu = _families()[k]

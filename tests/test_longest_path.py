@@ -57,10 +57,15 @@ def test_same_result_as_plain_relaxation(cycle_weight):
 
 
 def test_no_edges():
+    # the simplex's dual-offset search makes this call with n_nodes = 1
+    # whenever the final tree's real arcs join every node into one component
     empty = np.array([], dtype=int)
-    pi, cycle = longest_path(3, empty, empty, np.array([]))
-    assert cycle is None
-    np.testing.assert_array_equal(pi, np.zeros(3))
+    for n_nodes in (0, 1, 3):
+        pi, cycle = longest_path(n_nodes, empty, empty, np.array([]))
+        assert cycle is None
+        assert pi.dtype == np.float64
+        np.testing.assert_array_equal(pi, np.zeros(n_nodes))
+        np.testing.assert_array_equal(pi, _plain_relaxation(n_nodes, empty, empty, np.array([])))
 
 
 def test_cycle_raised_late_by_a_heavy_path():

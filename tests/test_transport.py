@@ -77,6 +77,26 @@ def test_measure_weights_are_a_frozen_copy():
         m.weights[0] = 1.0
 
 
+def test_measure_coordinates_are_one_frozen_array():
+    atoms = [(0, 0, 0), (1.5, -0.25, 2.0), (np.float64(3.0), 1, -0.5)]
+    m = DiscreteMeasure(atoms, [0.25, 0.25, 0.5])
+    assert type(m.atoms) is tuple and all(type(a) is GroupPoint for a in m.atoms)
+    assert m.atoms == tuple(GroupPoint(*a) for a in atoms)
+    assert m._coords.dtype == np.float64 and m._coords.shape == (3, 3)
+    np.testing.assert_array_equal(m._coords, np.array(m.atoms, dtype=float))
+    with pytest.raises(ValueError):
+        m._coords[0, 0] = 1.0
+
+
+def test_measure_rejects_bad_atoms_as_before():
+    # the first non-finite atom is named; a string is no number, though
+    # numpy would parse "1.0"
+    with pytest.raises(ValueError, match=r"non-finite atom GroupPoint\(x=1.0, y=inf"):
+        DiscreteMeasure([(0, 0, 0), (1.0, math.inf, 0), (math.nan, 0, 0)], [0.5, 0.25, 0.25])
+    with pytest.raises(TypeError, match="must be real number, not str"):
+        DiscreteMeasure([(0, 0, 0), ("1.0", 0, 0)], [0.5, 0.5])
+
+
 @pytest.mark.parametrize("build", [cost_matrix, planar_cost_matrix])
 def test_cost_matrices_are_read_only(build):
     mu, nu = _fixture()
