@@ -311,8 +311,10 @@ def tau_partition_length(points) -> float:
     """
     total = 0.0
     for k in range(len(points) - 1):
-        a, b = points[k], points[k + 1]
-        if classify(a, b) is CausalRelation.UNRELATED:
+        x, y, z = _difference(points[k], points[k + 1])
+        chronological, causal = cone_state(x, y, z)
+        if chronological:
+            total += _twist_and_separation(x, y, z)[1]
+        elif not causal:
             raise NotCausalChain(f"points {k} and {k + 1} are causally unrelated")
-        total += tau(a, b)
     return total

@@ -19,7 +19,7 @@ Design notes:
   artificial arc touches the root, which never moves and has potential 0,
   and real arcs carry no M part, so a node's coefficient is the orientation
   of the one artificial arc that hangs its component from the root.  Their
-  sum over the real nodes, a whole number kept up to date node by node, is
+  sum over the real nodes, a whole number kept up to date pivot by pivot, is
   therefore -(n + m) or n + m exactly when they are all equal.
 * Pricing is block search (Grigoriadis 1986), the rule of the network
   simplex of Bonneel, van de Panne, Paris & Heidrich (2011): reduced costs
@@ -44,22 +44,26 @@ Design notes:
   arc (strict < on the tail side, <= on the head side, as in LEMON's
   findLeavingArc), which keeps the tree strongly feasible and the number of
   consecutive degenerate pivots finite.  The solve is deterministic.
-* The tree is stored as each node's parent, the arc to it, that arc's
-  orientation, depth and child lists.  A pivot walks its cycle once: the
-  climb to the apex records both tree paths and keeps each side's blocking
-  minimum as it goes, which gives the leaving arc; the flow update and the
-  re-hang then read the paths.  It re-hangs only the subtree that the
-  leaving arc cuts off, and the walk that sets that subtree's depths also
-  shifts its potentials, one Python float at a time through memoryviews of
-  their two parts.  That costs less than gathering the nodes into an index
-  array for numpy, at 8 nodes a pivot (20x20) as at 70 (200x200).
-* Reported dual potentials come from one walk down the real arcs of the
-  final tree (tight_components, which strengthen_duals runs on a plan's
-  support): each subtree hung from the root is a component, 0 at its top
-  node, and complementary slackness fixes each node below from its parent.
-  Per-component offsets are then raised by a longest-path relaxation until
-  every allowed arc satisfies psi[j] - phi[i] >= c[i,j].  This keeps the
-  artificial M-parts out of the duals and the duality gap at roundoff.
+* The tree is stored as each node's parent, the arc to it and that arc's
+  orientation, and in preorder as in LEMON (Kiraly & Kovacs, Acta Univ.
+  Sapientiae Inform. 4, 2012): the thread through every node from the root
+  and back, its inverse, and each subtree's size and last node.  A pivot
+  walks its cycle once: the climb to the apex steps whichever node has the
+  smaller subtree, records both tree paths and keeps each side's blocking
+  minimum, which gives the leaving arc; the flow update and the re-hang
+  read the paths.  The re-hang relinks the thread along the stem it
+  reverses and fixes sizes and last nodes on the paths: its Python steps
+  count stem and path nodes, not subtree nodes.  The re-hung subtree is a
+  run of the thread, and its potentials shift along it one Python float at
+  a time through memoryviews of their two parts (a run is not contiguous
+  in memory, so numpy would first have to gather it node by node).
+* Reported dual potentials come from one pass over the final tree in
+  preorder: each subtree hung from the root is a component, 0 at its top
+  node, and complementary slackness fixes each node from its parent, which
+  the pass has already reached.  With several components, their offsets
+  are then raised by a longest-path relaxation until every allowed arc
+  satisfies psi[j] - phi[i] >= c[i,j].  This keeps the artificial M-parts
+  out of the duals and the duality gap at roundoff.
 
 A DEBUG record on the "sublorentz" logger reports, per solve, the problem
 size, the pivots, the degenerate pivots (zero step), the pivot after which
@@ -149,7 +153,9 @@ def tight_components(n_nodes, tail, head, gain, starts):
     """Potentials with pot[head] = pot[tail] + gain on a spanning forest of
     the edges, 0 at each component's first node in starts (which must meet
     every component).  Returns (pot, comp, k, loose): the potentials, labels
-    numbered in the order of starts, k labels, and the non-forest edge mask."""
+    numbered in the order of starts, k labels, and the non-forest edge mask.
+    strengthen_duals contracts a plan's support with it; the LP reads its
+    own duals off its tree in preorder."""
     adj = [[] for _ in range(n_nodes)]
     for e, (t, h, g) in enumerate(zip(tail.tolist(), head.tolist(), gain.tolist())):
         adj[t].append((h, g, e))
@@ -212,6 +218,7 @@ def solve_max_transport(values, allowed, supplies, demands):
     n_real = src.size
     tails = src
     heads = n + dst
+    tail_of, head_of = tails.tolist(), heads.tolist()
     cost = -c[src, dst]
     if not np.isfinite(cost).all():
         e = int(np.isfinite(cost).argmin())
@@ -228,13 +235,15 @@ def solve_max_transport(values, allowed, supplies, demands):
     price_mf_f[:] = cost
     flow = [0.0] * n_real + a + b
 
-    parent = [root] * (root + 1)
-    pred = [n_real + u for u in range(root + 1)]
+    parent = [root] * root + [-1]
+    pred = [n_real + u for u in range(root)] + [-1]
     up = [True] * (root + 1)  # tree arc of u points u -> parent[u]
-    depth = [1] * (root + 1)
-    children = [[] for _ in range(root + 1)]
-    children[root] = list(range(root))
-    parent[root], pred[root], depth[root] = -1, -1, 0
+    # The tree in preorder, from the root and back: thread[u] follows u,
+    # rev[u] precedes it, and u's subtree is the size[u] nodes to last[u].
+    thread = list(range(1, root + 1)) + [0]
+    rev = [root] + list(range(root))
+    size = [1] * root + [root + 1]
+    last = list(range(root)) + [root - 1]
     pi = np.zeros(root + 1, dtype=complex)
     pi_f, pi_m = pi.imag, pi.real
     pi_m[:root] = -1.0  # u -> root at cost M: pi_u = -M
@@ -245,20 +254,21 @@ def solve_max_transport(values, allowed, supplies, demands):
             pi_m[n + j] = 1.0
             m_sum += 2
     pf, pm = memoryview(pi_f), memoryview(pi_m)  # Python floats, one node at a time
+    price_v, price_mf_v, arc_cost = memoryview(price), memoryview(price_mf_f), cost.tolist()
 
     block = math.isqrt(n_real - 1) + 1 if n_real else 1
     blocks = [
         (lo, tails[lo:lo + block], heads[lo:lo + block], price_mf[lo:lo + block], price[lo:lo + block])
         for lo in range(0, n_real, block)
     ]
-    next_block = 0
+    n_blocks, next_block = len(blocks), 0
     pivots = degenerate = 0
     m_flat_at = -1  # the pivot after which pi_m was constant on the real nodes
     while True:
         # Block search: the best eligible arc of the first block holding one.
         entering = -1
-        for scan in range(len(blocks)):
-            lo, t, h, block_mf, block_price = blocks[(next_block + scan) % len(blocks)]
+        for scan in range(n_blocks):
+            lo, t, h, block_mf, block_price = blocks[(next_block + scan) % n_blocks]
             if m_flat_at < 0:  # the least M part decides, then the float part
                 rc = block_mf + pi[t] - pi[h]
                 k = int(rc.argmin())
@@ -270,7 +280,7 @@ def solve_max_transport(values, allowed, supplies, demands):
                 sigma_m, sigma_f = 0.0, rc.item(k)
             if (sigma_m, sigma_f) < (0.0, -_PIVOT_TOL):
                 entering = lo + k
-                next_block = (next_block + scan + 1) % len(blocks)
+                next_block = (next_block + scan + 1) % n_blocks
                 break
         if entering < 0:
             break
@@ -280,25 +290,27 @@ def solve_max_transport(values, allowed, supplies, demands):
 
         # The cycle runs tail -> head along the entering arc, then up the
         # tree from head to the apex and down from the apex to tail.  The
-        # climb to the apex keeps both tree paths for the steps below and
-        # finds the leaving arc: the tail side keeps its first least flow
-        # (<), the head side its last (<=), which also wins a tie.
-        first, second = int(tails[entering]), int(heads[entering])
+        # climb steps the node with the smaller subtree, never an ancestor
+        # of the other, and keeps both tree paths for the steps below.  It
+        # finds the leaving arc too: the tail side keeps its first least
+        # flow (<), the head side its last (<=), which also wins a tie.
+        first, second = tail_of[entering], head_of[entering]
         path_first, path_second = [], []
         theta_first = theta_second = math.inf
         cut_first = cut_second = -1
         u, v = first, second
         while u != v:
-            if depth[u] >= depth[v]:
-                if up[u] and flow[pred[u]] < theta_first:
-                    theta_first, cut_first = flow[pred[u]], len(path_first)
+            if size[u] < size[v]:
+                if up[u] and (f := flow[pred[u]]) < theta_first:
+                    theta_first, cut_first = f, len(path_first)
                 path_first.append(u)
                 u = parent[u]
             else:
-                if not up[v] and flow[pred[v]] <= theta_second:
-                    theta_second, cut_second = flow[pred[v]], len(path_second)
+                if not up[v] and (f := flow[pred[v]]) <= theta_second:
+                    theta_second, cut_second = f, len(path_second)
                 path_second.append(v)
                 v = parent[v]
+        apex = u
         if theta_second <= theta_first:
             theta, path, i = theta_second, path_second, cut_second
         else:
@@ -316,37 +328,87 @@ def solve_max_transport(values, allowed, supplies, demands):
             degenerate += 1
 
         leaving = pred[path[i]]
-        price[entering] = price_mf_f[entering] = math.inf
+        price_v[entering] = price_mf_v[entering] = math.inf
         if leaving < n_real:
-            price[leaving] = price_mf_f[leaving] = cost[leaving]
+            price_v[leaving] = price_mf_v[leaving] = arc_cost[leaving]
 
-        # Re-hang the cut-off subtree: reverse the tree path from the
-        # entering arc's endpoint inside it up to the leaving arc.
+        # Re-hang the subtree that the leaving arc cuts off below u_out from
+        # v_in, reversing the stem path[:i + 1] from the entering arc's end
+        # u_in up to u_out (LEMON's updateTreeStructure).  The new run
+        # follows v_in in the thread: u_in's subtree, then each stem node
+        # above it with the rest of its subtree.
         if path is path_first:
-            new_parent, new_up = second, True
+            u_in, v_in, new_up, grown = first, second, True, path_second
         else:
-            new_parent, new_up = first, False
+            u_in, v_in, new_up, grown = second, first, False, path_first
             sigma_f, sigma_m = -sigma_f, -sigma_m
-        new_arc = entering
-        for u in path[:i + 1]:
-            old_arc, old_up = pred[u], up[u]
-            children[parent[u]].remove(u)
-            children[new_parent].append(u)
-            parent[u], pred[u], up[u] = new_parent, new_arc, new_up
-            new_parent, new_arc, new_up = u, old_arc, not old_up
+        u_out = path[i]
+        v_out = parent[u_out]
+        old_rev, old_size, old_last = rev[u_out], size[u_out], last[u_out]
+        if i == 0:  # the subtree moves whole
+            end = old_last
+            if thread[v_in] != u_in:
+                after = thread[old_last]
+                thread[old_rev], rev[after] = after, old_rev
+                after = thread[v_in]
+                thread[v_in], rev[u_in] = u_in, v_in
+                thread[old_last], rev[after] = after, old_last
+        else:
+            cont = thread[old_last] if old_rev == v_in else thread[v_in]
+            thread[v_in] = u_in
+            relinked = [v_in]
+            end = last[u_in]
+            after = thread[end]
+            for k in range(i):
+                stem, above = path[k], path[k + 1]
+                thread[end] = above  # above and its subtree less stem's
+                relinked.append(end)
+                before = rev[stem]
+                thread[before], rev[after] = after, before
+                end = before if last[above] == last[stem] else last[above]
+                after = thread[end]
+            thread[end], rev[cont] = cont, end
+            if old_rev != v_in:
+                thread[old_rev], rev[after] = after, old_rev
+            for u in relinked:
+                rev[thread[u]] = u
+            for k in range(i, 0, -1):  # top down, so path[k - 1] still has its old arc
+                u, w = path[k], path[k - 1]
+                parent[u], pred[u], up[u], size[u], last[u] = w, pred[w], not up[w], old_size - size[w], end
+        parent[u_in], pred[u_in], up[u_in], size[u_in], last[u_in] = v_in, entering, new_up, old_size, end
 
-        # Depth and potentials change only on the re-hung subtree.
-        stack = [path[0]]
-        while stack:
-            u = stack.pop()
-            depth[u] = depth[parent[u]] + 1
-            pf[u] -= sigma_f
-            if sigma_m:
+        # Only the ancestors of v_in and v_out change their last node (up
+        # to the apex, or above it when the run ends there) and their size
+        # (below the apex).
+        limit = apex if last[apex] == v_in else -1
+        u = v_in
+        while u >= 0 and last[u] == v_in:
+            last[u] = end
+            u = parent[u]
+        fix = end if old_rev == apex or old_rev == v_in else old_rev
+        u = v_out
+        while u != limit and last[u] == old_last:
+            last[u] = fix
+            u = parent[u]
+        for u in grown:
+            size[u] += old_size
+        for u in path[i + 1:]:
+            size[u] -= old_size
+
+        # Potentials change only on the re-hung subtree, the run from u_in.
+        u = u_in
+        if sigma_m:
+            for _ in range(old_size):
+                pf[u] -= sigma_f
                 pm[u] -= sigma_m
-                m_sum -= sigma_m
-            stack += children[u]
-        if sigma_m and abs(m_sum) == root:
-            m_flat_at = pivots
+                u = thread[u]
+            m_sum -= sigma_m * old_size
+            if abs(m_sum) == root:
+                m_flat_at = pivots
+        else:
+            for _ in range(old_size):
+                pf[u] -= sigma_f
+                u = thread[u]
 
     # mass the real arcs leave unrouted: unshipped supply, unmet demand
     unshipped = sum(f for f in flow[n_real:n_real + n] if f > _MASS_TOL)
@@ -366,18 +428,32 @@ def solve_max_transport(values, allowed, supplies, demands):
     masses = np.zeros((n, m))
     masses[src, dst] = flow[:n_real]
 
-    # Duals from the real arcs of the tree, 0 at each node hung from the root
-    arcs = [a for a in pred[:root] if a < n_real]
-    pot, comp, k, _ = tight_components(root, tails[arcs], heads[arcs], -cost[arcs], children[root])
+    # Duals from the real arcs of the tree, in one pass in preorder: each
+    # subtree hung from the root is a component, 0 at its top node, and
+    # complementary slackness fixes each node below from its parent.
+    pot, comp, k = [0.0] * root, [0] * root, -1  # k: the last label
+    u = thread[root]
+    while u != root:
+        p = parent[u]
+        if p == root:
+            k += 1
+        else:
+            pot[u] = pot[p] + arc_cost[pred[u]] if up[u] else pot[p] - arc_cost[pred[u]]
+        comp[u] = k
+        u = thread[u]
+    pot = np.array(pot)
 
     # Component offsets: delta[B] - delta[A] >= c_ij - (psi_j - phi_i) for
     # every allowed cross-component arc.  Converges because an improving
-    # cycle would contradict primal optimality.
-    ca, cb = comp[tails], comp[heads]
-    cross = ca != cb
-    gain = -cost - (pot[heads] - pot[tails])
-    delta, _ = longest_path(k, ca[cross], cb[cross], gain[cross])
-    if delta is None:
-        raise AssertionError("dual offsets failed to stabilize")
-    pot = np.ldexp(pot + delta[comp], scale)
+    # cycle would contradict primal optimality.  One component needs none.
+    if k > 0:
+        comp = np.array(comp)
+        ca, cb = comp[tails], comp[heads]
+        cross = ca != cb
+        gain = -cost - (pot[heads] - pot[tails])
+        delta, _ = longest_path(k + 1, ca[cross], cb[cross], gain[cross])
+        if delta is None:
+            raise AssertionError("dual offsets failed to stabilize")
+        pot += delta[comp]
+    pot = np.ldexp(pot, scale)
     return masses, pot[:n], pot[n:]

@@ -224,3 +224,16 @@ def test_scalar_kernels_build_no_difference_record():
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "CausalRelation":
             found.append(f"causality.classify reads CausalRelation.{node.attr}")
     assert found == []
+
+
+def test_simplex_tree_keeps_no_child_lists():
+    # the basis tree is kept in preorder (thread, rev, size, last): the
+    # climb compares subtree sizes, and the re-hung subtree is a run of the
+    # thread, so no child list, list.remove or depth is kept per node
+    found = []
+    for node in _body_nodes("simplex", "solve_max_transport"):
+        if isinstance(node, ast.Name) and node.id in ("children", "depth"):
+            found.append(f"names {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr == "remove":
+            found.append("calls .remove")
+    assert found == []

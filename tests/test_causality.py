@@ -333,3 +333,53 @@ def test_partition_rejects_non_causal_chain():
     pts = [IDENTITY, GroupPoint(1.0, 0.0, 0.0), GroupPoint(0.5, 0.0, 0.0)]
     with pytest.raises(NotCausalChain):
         tau_partition_length(pts)
+
+
+def _sum_of_tau(points):
+    """tau_partition_length by its definition: classify, then tau, per pair."""
+    total = 0.0
+    for k in range(len(points) - 1):
+        if classify(points[k], points[k + 1]) is CausalRelation.UNRELATED:
+            return k
+        total += tau(points[k], points[k + 1])
+    return total
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_partition_length_is_the_sum_of_tau_bit_for_bit(seed):
+    # seeded geodesic samples, and chains that mix chronological, null and
+    # unrelated steps: the error must name the first unrelated pair
+    from sublorentz.geodesics import GeodesicArc
+    from sublorentz.heisenberg import FrameCovector
+
+    rng = np.random.default_rng(seed)
+    chains = []
+    for _ in range(20):
+        u, v, t = rng.uniform(-0.9, 0.9), rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0)
+        arc = GeodesicArc(GroupPoint(*rng.uniform(-2.0, 2.0, 3).tolist()), FrameCovector(-1.0, u, v), t)
+        k = int(rng.integers(1, 40))
+        chains.append([arc.point(t * i / k) for i in range(k + 1)])
+    for _ in range(40):
+        pts = [GroupPoint(*rng.uniform(-1.0, 1.0, 3).tolist())]
+        for _ in range(int(rng.integers(1, 12))):
+            p, kind = pts[-1], rng.integers(0, 6)
+            if kind == 0:  # null: x = |y|, z = 0
+                y = rng.uniform(-1.0, 1.0)
+                step = GroupPoint(abs(y), y, 0.0)
+            elif kind == 1:  # unrelated: x < 0
+                step = GroupPoint(rng.uniform(-1.0, -0.1), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            else:  # chronological: F <= -0.03 x^2
+                x = rng.uniform(0.1, 2.0)
+                step = GroupPoint(x, rng.uniform(-0.9, 0.9) * x, rng.uniform(-0.04, 0.04) * x * x)
+            pts.append(mul(p, step))
+        chains.append(pts)
+    broken = 0
+    for pts in chains:
+        want = _sum_of_tau(pts)
+        if isinstance(want, int):
+            broken += 1
+            with pytest.raises(NotCausalChain, match=f"points {want} and {want + 1} are"):
+                tau_partition_length(pts)
+        else:
+            assert tau_partition_length(pts).hex() == want.hex()
+    assert 0 < broken < len(chains)

@@ -614,6 +614,21 @@ def test_pivot_sequence_is_pinned(caplog, key):
     assert counts + (digest,) == PINNED_PIVOTS[key]
 
 
+@pytest.mark.parametrize(
+    "weights, pinned",
+    [("random", (3015, 0, 851, "e50307e8bae066cf")), ("uniform", (3248, 2808, 200, "e1ab70d3c644b4be"))],
+)
+def test_large_lp_pivots_are_pinned(caplog, weights, pinned):
+    # the 200x200 pair of seed 1: stems and re-hung subtrees long enough
+    # that the tree update, not pricing, is most of the solve
+    mu, nu = sample_chronological_pair(200, 200, seed=1, weights=weights)
+    cm = cost_matrix(mu, nu, P)
+    fields, result = _debug_fields(caplog, solve_max_transport, cm.values, cm.feasible, mu.weights, nu.weights)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in result)).hexdigest()[:16]
+    counts = tuple(int(fields[name]) for name in ("pivots", "degenerate", "m_flat_at"))
+    assert counts + (digest,) == pinned
+
+
 def test_complex_argmin_orders_by_real_part_then_imaginary_part():
     # the simplex prices M part + i * float part with one argmin
     assert np.array([1 - 5j, 0 + 2j, 0 + 1j, -1 + 9j, -1 + 9j]).argmin() == 3
