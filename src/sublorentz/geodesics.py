@@ -23,9 +23,9 @@ their limits at s = 0 (straight lines when w0 = 0).  For a general base
 point the trajectory is the left translate of the identity trajectory and
 the frame components are unchanged: that is the left-invariance that makes
 the frame representation the right one to flow.  One private kernel,
-_flow, returns the end point and the evolved (hX, hY) as plain values:
-flow wraps them in a HamiltonianState, and exp_map and GeodesicArc.point
-return the point alone.
+_flow, holds the f-factors (3-term series below _SERIES_CUT) and returns
+the end point and the evolved (hX, hY) as plain values: flow wraps them in
+a HamiltonianState, and exp_map and GeodesicArc.point return the point alone.
 """
 
 from __future__ import annotations
@@ -35,23 +35,11 @@ from typing import NamedTuple
 
 from .causality import _twist_and_separation, cone_state
 from .errors import NotChronological, OutOfDomain
-from .heisenberg import FrameCovector, GroupPoint, _difference, is_future_timelike, mul
+from .heisenberg import FrameCovector, GroupPoint, _difference, _new, is_future_timelike, mul
 
 # Below this |s| the f-factors switch to 3-term series; the closed forms
 # cancel catastrophically while the truncation error is ~s^6.
 _SERIES_CUT = 1e-4
-
-
-def _flow_factors(s: float, sh: float, ch: float) -> tuple[float, float, float]:
-    """(f1, f2, f3) at s, given sh = sinh(s) and ch = cosh(s)."""
-    if abs(s) < _SERIES_CUT:
-        s2 = s * s
-        return (
-            1.0 + s2 / 6.0 + s2 * s2 / 120.0,
-            s * (0.5 + s2 / 24.0 + s2 * s2 / 720.0),
-            1.0 / 6.0 + s2 / 120.0 + s2 * s2 / 5040.0,
-        )
-    return sh / s, (ch - 1.0) / s, (sh - s) / (s * s * s)
 
 
 class HamiltonianState(NamedTuple):
@@ -62,7 +50,7 @@ class HamiltonianState(NamedTuple):
 
 
 def _flow(q0: GroupPoint, cov0: FrameCovector, t: float) -> tuple[GroupPoint, float, float]:
-    """(point, hX, hY) of the flow from (q0, cov0) at time t; see flow."""
+    """(point, hX, hY) of the flow from (q0, cov0) at time t, f-factors inline; see flow."""
     u0, v0, w0 = cov0
     s = w0 * t
     try:
@@ -70,7 +58,13 @@ def _flow(q0: GroupPoint, cov0: FrameCovector, t: float) -> tuple[GroupPoint, fl
         sh = math.sinh(s)
     except OverflowError:
         raise OutOfDomain(f"|hZ t| = {abs(s):.6g} overflows cosh") from None
-    f1, f2, f3 = _flow_factors(s, sh, ch)
+    if abs(s) < _SERIES_CUT:
+        s2 = s * s
+        f1 = 1.0 + s2 / 6.0 + s2 * s2 / 120.0
+        f2 = s * (0.5 + s2 / 24.0 + s2 * s2 / 720.0)
+        f3 = 1.0 / 6.0 + s2 / 120.0 + s2 * s2 / 5040.0
+    else:
+        f1, f2, f3 = sh / s, (ch - 1.0) / s, (sh - s) / (s * s * s)
     x = t * (v0 * f2 - u0 * f1)
     y = t * (v0 * f1 - u0 * f2)
     z = 0.5 * (u0 * u0 - v0 * v0) * w0 * t * t * t * f3
@@ -93,7 +87,7 @@ def flow(q0: GroupPoint, cov0: FrameCovector, t: float) -> HamiltonianState:
     coordinate is not a finite float.
     """
     q, hX, hY = _flow(q0, cov0, t)
-    return HamiltonianState(q, FrameCovector(hX, hY, cov0[2]))
+    return _new(HamiltonianState, (q, _new(FrameCovector, (hX, hY, cov0[2]))))
 
 
 def exp_map(q0: GroupPoint, cov0: FrameCovector) -> GroupPoint:
@@ -118,7 +112,7 @@ def log_map(q0: GroupPoint, q: GroupPoint) -> FrameCovector:
         raise NotChronological(f"{q!r} is not chronologically after {q0!r}")
     b, t_sep = _twist_and_separation(x, y, z)
     psi = math.atanh(y / x) - b
-    return FrameCovector(-t_sep * math.cosh(psi), t_sep * math.sinh(psi), 2.0 * b)
+    return _new(FrameCovector, (-t_sep * math.cosh(psi), t_sep * math.sinh(psi), 2.0 * b))
 
 
 class GeodesicArc:

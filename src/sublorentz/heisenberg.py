@@ -17,6 +17,9 @@ point at API boundaries:
 Frame components are the left-invariant picture; they are what the
 Hamiltonian geodesic flow conserves and transports.  At the identity the two
 representations coincide.
+
+The per-pair kernels build their records with ``_new`` and skip NamedTuple's
+Python-level ``__new__``; outside input goes through the checked constructors.
 """
 
 from __future__ import annotations
@@ -47,13 +50,15 @@ class FrameCovector(NamedTuple):
 
 
 IDENTITY = GroupPoint(0.0, 0.0, 0.0)
+# _new(cls, fields) builds a cls record, as cls._make does minus its length check
+_new = tuple.__new__
 
 
 def mul(a: GroupPoint, b: GroupPoint) -> GroupPoint:
     """Group product a * b; either operand may be any (x, y, z) triple."""
     ax, ay, az = a
     bx, by, bz = b
-    return GroupPoint(ax + bx, ay + by, az + bz + 0.5 * (ax * by - bx * ay))
+    return _new(GroupPoint, (ax + bx, ay + by, az + bz + 0.5 * (ax * by - bx * ay)))
 
 
 def _difference(a, b):
@@ -71,7 +76,7 @@ def group_difference(a: GroupPoint, b: GroupPoint) -> GroupPoint:
     The GroupPoint of ``_difference``, the one difference kernel, so the
     coordinates may also be broadcasting numpy arrays.
     """
-    return GroupPoint(*_difference(a, b))
+    return _new(GroupPoint, _difference(a, b))
 
 
 def coord_to_frame(base: GroupPoint, cov: CoordCovector) -> FrameCovector:

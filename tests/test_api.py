@@ -226,6 +226,27 @@ def test_scalar_kernels_build_no_difference_record():
     assert found == []
 
 
+def test_scalar_path_builds_records_without_their_constructors():
+    # the per-pair kernels build GroupPoint, FrameCovector and
+    # HamiltonianState through tuple.__new__, skipping the Python-level
+    # __new__ that NamedTuple generates; _beta_twist writes its two Newton
+    # steps out, and _flow computes its f-factors inline
+    records = ("GroupPoint", "FrameCovector", "HamiltonianState")
+    found = []
+    for module, name in (("heisenberg", "mul"), ("heisenberg", "group_difference"),
+                         ("geodesics", "_flow"), ("geodesics", "flow"), ("geodesics", "log_map")):
+        for node in _body_nodes(module, name):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in records:
+                found.append(f"{module}.{name} calls {node.func.id}")
+    for node in _body_nodes("causality", "_beta_twist"):
+        if isinstance(node, (ast.For, ast.While, ast.comprehension)):
+            found.append("causality._beta_twist loops")
+    geodesics = ast.parse((ROOT / "src" / "sublorentz" / "geodesics.py").read_text())
+    if any(getattr(node, "name", None) == "_flow_factors" for node in geodesics.body):
+        found.append("geodesics defines _flow_factors")
+    assert found == []
+
+
 def test_simplex_tree_keeps_no_child_lists():
     # the basis tree is kept in preorder (thread, rev, size, last): the
     # climb compares subtree sizes, and the re-hung subtree is a run of the

@@ -10,6 +10,7 @@ from sublorentz.causality import tau
 from sublorentz.errors import NotChronological, OutOfDomain
 from sublorentz.geodesics import (
     GeodesicArc,
+    HamiltonianState,
     exp_map,
     flow,
     geodesic_trace,
@@ -20,6 +21,8 @@ from sublorentz.heisenberg import (
     FrameCovector,
     GroupPoint,
     energy,
+    group_difference,
+    mul,
     sup_distance,
 )
 from sublorentz.verify import _rk4_flows
@@ -117,6 +120,24 @@ _PINNED_FLOWS = [
         ("-0x1.171ec8e979e6cp+11", "0x1.e7173fb5dcc08p+10"),
         ("0x1.f652b8912e2b2p+10", "0x1.bfbc4f37c9ca8p+8", "0x1.091269f69bec4p+20"),
     ),
+    (  # hZ = 0: a straight line
+        (0.1, 0.2, -0.05), (-1.0, 0.4, 0.0), 1.2,
+        ("0x1.4cccccccccccdp+0", "0x1.5c28f5c28f5c2p-1", "-0x1.2b020c49ba5e4p-3"),
+        ("-0x1.0000000000000p+0", "0x1.999999999999ap-2"),
+        ("0x1.199999999999ap+0", "0x1.3333333333334p-1", "-0x1.0a3d70a3d70a4p-3"),
+    ),
+    (  # negative hZ, |hZ t| = 6e-5 below the series cut
+        (0.0, 0.0, 0.0), (-1.1, -0.3, -3e-5), 2.0,
+        ("0x1.199a309b23ee4p+1", "-0x1.333bd9cdf9c22p-1", "-0x1.77cf4477741f4p-16"),
+        ("-0x1.199ac79f83f1ep+0", "-0x1.3344806bd80d5p-2"),
+        ("0x1.1999e519a9585p+0", "-0x1.3337867fd08d0p-2", "-0x1.77cf44769a385p-19"),
+    ),
+    (  # |hZ t| = 1.5e-4, just above the series cut
+        (-0.2, 0.5, 0.3), (-0.9, 0.2, 1.5e-4), 1.0,
+        ("0x1.66685dd4690fep-1", "0x1.666f3f596dfaep-1", "0x1.c28d85e797c94p-5"),
+        ("-0x1.ccd0bbc5cfd32p-1", "0x1.99e0614b9b42cp-3"),
+        ("0x1.66685dd4690fep-1", "0x1.666f3f596dfaep-1", "0x1.c28d85e797c94p-5"),
+    ),
 ]
 
 
@@ -133,6 +154,34 @@ def test_flow_exp_map_and_arc_point_are_pinned_bit_for_bit():
         assert _hexes(state.cov) == (*frame, cov0.hZ.hex())
         assert _hexes(GeodesicArc(base, cov0, t).point(t)) == point
         assert _hexes(exp_map(base, cov0)) == exp_point
+
+
+def test_records_keep_their_types():
+    # each kernel result is exactly its record type, equal to the record its
+    # constructor builds from the same fields, with the same fields and repr
+    a, b = GroupPoint(0.3, -0.2, 0.1), GroupPoint(2.0, 0.5, 0.4)
+    cov = FrameCovector(-0.8, 0.3, 0.4)
+    state = flow(a, cov, 1.7)
+    np_a = (np.float64(0.3), np.float64(-0.2), np.float64(0.1))
+    results = [
+        (mul(a, b), GroupPoint),
+        (mul(np_a, b), GroupPoint),
+        (mul(a, np_a), GroupPoint),
+        (group_difference(a, b), GroupPoint),
+        (exp_map(a, cov), GroupPoint),
+        (log_map(a, b), FrameCovector),
+        (state, HamiltonianState),
+        (state.point, GroupPoint),
+        (state.cov, FrameCovector),
+        (GeodesicArc(a, cov, 1.7).point(0.9), GroupPoint),
+    ]
+    for record, cls in results:
+        built = cls(*record)
+        assert type(record) is cls
+        assert record == built
+        assert record._fields == built._fields == cls._fields
+        assert repr(record) == repr(built)
+    assert isinstance(mul(np_a, b).x, np.float64)
 
 
 def test_flow_small_vertical_momentum_is_continuous():
