@@ -45,6 +45,7 @@ from .errors import (
 )
 from .heisenberg import FrameCovector, GroupPoint, energy, sup_distance
 from .geodesics import exp_map, flow, log_map
+from .simplex import gain_exponent
 from .transport import CostMatrix, CostParams, DiscreteMeasure, DualPotentials
 
 DEFAULT_TIE_TOL = 1e-9
@@ -70,9 +71,7 @@ def _pick_branch(offsets: np.ndarray, gains: np.ndarray, where, outside: str) ->
 
     DomainViolation outside.format(where=where, k=k) at the first k whose
     gain is not > 0 (not chronological); NondifferentiableAt, naming where,
-    when the runner-up is within DEFAULT_TIE_TOL, scaled like the gains in
-    solve_max_transport: by the power of two that brings a largest gain
-    below 1 into [1, 2).
+    when the runner-up is within DEFAULT_TIE_TOL * 2**gain_exponent(largest gain).
     """
     inside = gains > 0.0
     if not inside.all():
@@ -81,9 +80,7 @@ def _pick_branch(offsets: np.ndarray, gains: np.ndarray, where, outside: str) ->
     k = int(np.argmin(vals))
     if len(vals) > 1:
         margin = float(np.partition(vals, 1)[1] - vals[k])
-        top = float(gains.max())
-        tol = math.ldexp(DEFAULT_TIE_TOL, math.frexp(top)[1] - 1) if top < 1.0 else DEFAULT_TIE_TOL
-        if margin <= tol:
+        if margin <= math.ldexp(DEFAULT_TIE_TOL, gain_exponent(float(gains.max()))):
             raise NondifferentiableAt(f"branches tie within {margin:.3e} at {where}")
     return k
 

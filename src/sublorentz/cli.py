@@ -120,7 +120,7 @@ class _Parser(argparse.ArgumentParser):
 _FLAGS = {
     "--p": dict(type=_cost_exponent, default=0.5, help="cost exponent in (0,1)"),
     "--seed": dict(type=_seed, default=0, help="seed for any randomized step"),
-    "--tol": dict(type=_gap_tol, default=1e-8, help="optimality gap tolerance"),
+    "--tol": dict(type=_gap_tol, default=1e-8, help="optimality gap tolerance, relative to the gains' binade"),
     "--out": dict(default=None, help="output path or prefix"),
     "--svg": dict(default=None, help="write an SVG plot to this path"),
     "--digits": dict(type=_digits, default=9, help="significant digits in printed numbers"),

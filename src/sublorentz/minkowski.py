@@ -17,6 +17,7 @@ observed gap.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from .causality import CausalRelation, classify, minkowski_tau, tau
 from .errors import GenerationFailure, NoCausalCoupling
 from .heisenberg import IDENTITY, GroupPoint, mul
+from .simplex import gain_exponent
 from .transport import (
     CostMatrix,
     CostParams,
@@ -89,7 +91,7 @@ def right_translation_verdict(
     otherwise no coupling between mu and its pushforward exists at all and
     NoCausalCoupling is raised.  The map is optimal exactly when q0 is a
     planar point (z0 = 0) with x0 > |y0|; the verdict reports whether the LP
-    agrees within gap_tol.
+    agrees within gap_tol times 2**gain_exponent(larger value), its binade.
     """
     rel = classify(IDENTITY, q0)
     if rel is CausalRelation.UNRELATED:
@@ -106,7 +108,7 @@ def right_translation_verdict(
     gap = plan.value - map_value
     predicate = q0.z == 0.0 and q0.x > abs(q0.y)
     return RightTranslationVerdict(
-        optimal=gap <= gap_tol,
+        optimal=gap <= math.ldexp(gap_tol, gain_exponent(max(map_value, plan.value))),
         predicate=predicate,
         map_value=map_value,
         lp_value=plan.value,

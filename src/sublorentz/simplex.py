@@ -103,8 +103,9 @@ def longest_path(n_nodes, tail, head, weight):
     just of today's, so no potentials can then satisfy the cycle within the
     tolerance and the full rounds end in a cycle too.  That early test starts
     at round 16 and runs every fourth round, so short searches never pay for
-    it.  Where potentials exceed about 1e3, one ulp exceeds 1e-13, so a cycle
-    of weight 0 can creep up by ulps and come back (support pairs make none).
+    it.  Every caller passes gains divided by 2**gain_exponent(largest gain),
+    into [1, 2).  Where potentials still exceed about 1e3, one ulp exceeds
+    1e-13, so a cycle of weight 0 can creep up by ulps and come back.
     """
     if not len(tail):  # the zeros the first round would return
         return np.zeros(n_nodes), None
@@ -149,6 +150,13 @@ def _raised_cycle(via, tail):
     return np.array(edges, dtype=int)
 
 
+def gain_exponent(top):
+    """The k with top * 2**-k in [1, 2), or 0 when top is 0 or not finite.
+    The LP layer's tolerances apply to its gains divided by 2**k, top being
+    the largest |gain|, so its answers scale exactly with the gains."""
+    return math.frexp(top)[1] - 1 if 0.0 < top < math.inf else 0
+
+
 def tight_components(n_nodes, tail, head, gain, starts):
     """Potentials with pot[head] = pot[tail] + gain on a spanning forest of
     the edges, 0 at each component's first node in starts (which must meet
@@ -190,11 +198,8 @@ def solve_max_transport(values, allowed, supplies, demands):
     allowed-arc structure cannot route the full mass, and ValueError naming
     the entry on a non-finite gain or marginal or a negative marginal.
 
-    The pivot and relaxation tolerances are absolute.  When the largest
-    allowed |gain| is below 1, the LP is solved with the gains multiplied by
-    the power of two that brings it into [1, 2), and the potentials are
-    divided by it.  Short of underflow both steps are exact; an LP with an
-    allowed |gain| of 1 or more is solved unscaled.
+    The pivot and relaxation tolerances apply to the gains divided by 2**k,
+    k = gain_exponent(largest allowed |gain|); the duals are scaled back.
     """
     c = np.asarray(values, dtype=float)
     ok = np.asarray(allowed, dtype=bool)
@@ -223,9 +228,7 @@ def solve_max_transport(values, allowed, supplies, demands):
     if not np.isfinite(cost).all():
         e = int(np.isfinite(cost).argmin())
         raise ValueError(f"gain {float(-cost[e])!r} on allowed arc ({src[e]}, {dst[e]}) is not finite")
-    # The tolerances are absolute: gains below 1 are solved scaled into [1, 2).
-    top = float(np.abs(cost).max(initial=0.0))
-    scale = math.frexp(top)[1] - 1 if 0.0 < top < 1.0 else 0
+    scale = gain_exponent(float(np.abs(cost).max(initial=0.0)))
     cost = np.ldexp(cost, -scale)
     price = cost.copy()  # +inf on basic arcs, so that no argmin picks one
     # the same prices as M part + i * float part, like the potentials pi;

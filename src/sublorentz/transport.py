@@ -22,7 +22,7 @@ import numpy as np
 from .causality import tau_array
 from .errors import InfeasibleDuals, NoCausalCoupling, WeightError
 from .heisenberg import GroupPoint
-from .simplex import longest_path, solve_max_transport, tight_components
+from .simplex import gain_exponent, longest_path, solve_max_transport, tight_components
 
 SUPPORT_TOL = 1e-12
 
@@ -154,20 +154,17 @@ def strengthen_duals(plan: TransportPlan, cost: CostMatrix) -> DualPotentials:
     margin.  From the cap (1024 at most), Dinkelbach steps find the exact
     margin: while longest_path finds a positive cycle, the margin drops to
     the one at which that cycle weighs 0.  The duals sit at half the margin,
-    so at 512 when nothing limits it.  A zero margin can be genuinely
+    so at 512 * 2**e when nothing limits it.  A zero margin can be genuinely
     unimprovable (ties between optimal plans); the duals are then minimal.
 
-    The relaxation tolerances are absolute.  As in solve_max_transport,
-    when the largest feasible |gain| is below 1 the search runs on the gains
-    times the power of two that brings it into [1, 2), and the potentials are
-    divided by it, so the cap applies to the scaled gains.
+    As in solve_max_transport, the cap and the relaxation tolerances apply
+    to the gains divided by 2**e, e = gain_exponent(largest feasible |gain|).
     """
     n, m = plan.masses.shape
     on = plan.masses > SUPPORT_TOL
     si, sj = np.nonzero(on)
     fi, fj = np.nonzero(cost.feasible & ~on)
-    top = float(np.abs(cost.values[cost.feasible]).max(initial=0.0))
-    scale = math.frexp(top)[1] - 1 if 0.0 < top < 1.0 else 0
+    scale = gain_exponent(float(np.abs(cost.values[cost.feasible]).max(initial=0.0)))
     gain = np.ldexp(cost.values[si, sj], -scale)
     pot, comp, k, loose = tight_components(n + m, si, n + sj, gain, range(n + m))
     np.minimum.at(low := np.full(k, np.inf), comp, pot)
@@ -209,11 +206,12 @@ def duality_gap(
     """Dual objective minus primal value; near zero certifies optimality.
 
     Raises InfeasibleDuals when psi[j] - phi[i] >= c[i,j] fails by more than
-    1e-9 on a causally feasible pair.
+    1e-9 * 2**e on a causally feasible pair, e as in strengthen_duals.
     """
     slack = duals.psi[None, :] - duals.phi[:, None] - cost.values
     worst = float(np.min(np.where(cost.feasible, slack, np.inf)))
-    if worst < -1e-9:
+    top = float(np.abs(cost.values[cost.feasible]).max(initial=0.0))
+    if worst < -math.ldexp(1e-9, gain_exponent(top)):
         raise InfeasibleDuals(f"dual constraint violated by {-worst:.3e}")
     dual_value = float(np.dot(duals.psi, nu.weights) - np.dot(duals.phi, mu.weights))
     return dual_value - plan.value

@@ -258,3 +258,27 @@ def test_simplex_tree_keeps_no_child_lists():
         elif isinstance(node, ast.Attribute) and node.attr == "remove":
             found.append("calls .remove")
     assert found == []
+
+
+
+def test_one_gain_scale_rule():
+    # simplex.gain_exponent is the one place that picks the power of two by
+    # which the LP layer scales its gains: math.frexp appears nowhere else,
+    # and no function that rescales by ldexp compares anything with 1.0,
+    # which is how a one-sided "scale only below 1" rule reads
+    def is_one(node):
+        return isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1.0
+
+    found = []
+    for path in MODULES:
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            nodes = [sub for stmt in func.body for sub in ast.walk(stmt)]
+            names = {getattr(node, "attr", getattr(node, "id", None)) for node in nodes}
+            if "frexp" in names and (path.stem, func.name) != ("simplex", "gain_exponent"):
+                found.append(f"{path.stem}.{func.name} reads frexp")
+            compares = [node for node in nodes if isinstance(node, ast.Compare)]
+            if names & {"frexp", "ldexp"} and any(is_one(c) for n in compares for c in [n.left, *n.comparators]):
+                found.append(f"{path.stem}.{func.name} compares with 1.0")
+    assert found == []

@@ -143,3 +143,20 @@ def test_seeded_verdict_agreement_sample():
         if seed % 2 == 1:
             assert q0.z != 0.0
             assert verdict.gap > 1e-6
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_verdicts_agree_under_dilations(seed):
+    # delta_lam with lam = 4^j multiplies every gain, and so the gap, by
+    # 2^j exactly; gap_tol is relative to the binade of the values, so a
+    # twisted translation's small gap at j < 0 still reads as beaten
+    mu0, q0 = seeded_verdict_instance(seed)
+    for j in range(-40, 41, 10):
+        lam = 4.0**j
+
+        def dilate(q):
+            return GroupPoint(lam * q.x, lam * q.y, lam * lam * q.z)
+
+        mu = DiscreteMeasure(tuple(map(dilate, mu0.atoms)), mu0.weights)
+        verdict = right_translation_verdict(mu, dilate(q0), P)
+        assert verdict.agrees, (j, verdict)

@@ -5,6 +5,7 @@ import itertools
 import logging
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from sublorentz.errors import InfeasibleDuals, NoCausalCoupling, WeightError
 from sublorentz.heisenberg import IDENTITY, GroupPoint, mul
 from sublorentz.measures_io import sample_chronological_pair
 from sublorentz.minkowski import planar_cost_matrix
-from sublorentz.simplex import solve_max_transport
+from sublorentz.simplex import gain_exponent, solve_max_transport
 from sublorentz.transport import (
     SUPPORT_TOL,
     CostMatrix,
@@ -247,6 +248,22 @@ def test_strengthen_duals_rejects_a_support_cycle_of_nonzero_sum():
     values[1, 1] += 0.5
     with pytest.raises(InfeasibleDuals):
         strengthen_duals(*_full_support(values))
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6, 1e12, 1e20])
+def test_strengthen_duals_keeps_full_support_plans_at_large_gains(scale):
+    # c_ij = (a_i + b_j) * scale makes every plan optimal, and a full 3x3
+    # support closes cycles of alternating sum 0 up to roundoff of the
+    # gains; with an absolute relaxation tolerance 45-49 of these 50 plans
+    # raised InfeasibleDuals at each scale
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        values = np.add.outer(rng.random(3), rng.random(3)) * scale
+        masses = np.full((3, 3), 1.0 / 9.0)
+        cm = CostMatrix(values, np.ones((3, 3), bool))
+        duals = strengthen_duals(TransportPlan(masses, float(np.sum(masses * values))), cm)
+        slack = duals.psi[None, :] - duals.phi[:, None] - values
+        assert np.abs(slack).max() <= 1e-12 * values.max()
 
 
 def test_strengthen_duals_caps_an_unlimited_margin_at_512():
@@ -737,6 +754,16 @@ def test_strengthened_duals_keep_their_margin_at_every_scale(lam):
     off_tight, least, top = margins(*_dilated_pair(lam))
     assert off_tight <= 1e-12 * top
     assert least * lam**-P.p == pytest.approx(base, rel=1e-9, abs=0.0)
+
+
+def test_gain_exponent_brings_the_largest_gain_into_one_two():
+    below_two = math.nextafter(2.0, 0.0)
+    cases = [(0.0, 0), (5e-324, -1074), (0.75, -1), (1.0, 0), (below_two, 0), (2.0, 1),
+             (sys.float_info.max, 1023), (math.inf, 0), (math.nan, 0)]
+    for top, k in cases:
+        assert gain_exponent(top) == k, top
+        if 0.0 < top < math.inf:
+            assert 1.0 <= math.ldexp(top, -k) < 2.0
 
 
 def test_support_lists_pairs_above_tolerance_in_row_major_order():
