@@ -4,7 +4,7 @@ Subcommands, with the shared flags each one reads besides its own inputs:
 
     tau, logmap          --digits
     geodesic             --out --svg --digits
-    solve                --p --seed --out --svg --digits
+    solve                --p --out --svg --digits
     brenier              --p --out --svg
     interpolate          --p --out
     right-translation    --p --tol --out --digits
@@ -119,7 +119,7 @@ class _Parser(argparse.ArgumentParser):
 # The flags several subcommands share; each subcommand adds the ones it reads.
 _FLAGS = {
     "--p": dict(type=_cost_exponent, default=0.5, help="cost exponent in (0,1)"),
-    "--seed": dict(type=_seed, default=0, help="seed for any randomized step"),
+    "--seed": dict(type=_seed, default=0, help="seed of the self-check suites"),
     "--tol": dict(type=_gap_tol, default=1e-8, help="optimality gap tolerance, relative to the gains' binade"),
     "--out": dict(default=None, help="output path or prefix"),
     "--svg": dict(default=None, help="write an SVG plot to this path"),
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_log.add_argument("--from", dest="src", type=_triple, required=True, metavar="X,Y,Z")
     p_log.add_argument("--to", dest="dst", type=_triple, required=True, metavar="X,Y,Z")
 
-    p_solve = command("solve", cmd_solve, "--p --seed --out --svg --digits", "solve the causal transport LP")
+    p_solve = command("solve", cmd_solve, "--p --out --svg --digits", "solve the causal transport LP")
     p_solve.add_argument("--mu", required=True, help="source measure file")
     p_solve.add_argument("--nu", required=True, help="target measure file")
 
@@ -236,7 +236,7 @@ def cmd_solve(args) -> int:
     cm = cost_matrix(mu, nu, params)
     plan, duals = solve_cost_matrix(cm, mu.weights, nu.weights)
     gap = duality_gap(plan, duals, mu, nu, cm)
-    report = check_cyclical_monotonicity(plan, cm, max_cycle=6, seed=args.seed)
+    report = check_cyclical_monotonicity(plan, cm, max_cycle=6)
     print(f"value {_fmt(args, plan.value)}")
     print(f"ell_p {_fmt(args, (args.p * plan.value) ** (1.0 / args.p))}")
     print(f"duality_gap {_fmt(args, gap)}")

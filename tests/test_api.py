@@ -54,14 +54,17 @@ with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("sublorentz."))
 assert "dataclasses" not in sys.modules, sorted(m for m in sys.modules if m.startswith("sublorentz."))
-# the LP commands load logging only if something else already has, a
-# solve whose support the audit checks exhaustively draws nothing, so on a
-# 6x6 pair none of them loads numpy.random, and no command loads
-# dataclasses (the test process wrote the pair to sys.argv[1])
+# the LP commands load logging only if something else already has, the
+# monotonicity audit draws no random cycles, on a 6x6 pair or on an 8x8 pair
+# whose support has more than 12 pairs, so none of them loads numpy.random,
+# and no command loads dataclasses (the test process wrote the pairs to
+# sys.argv[1])
 import os
-mu, nu, b, i = (os.path.join(sys.argv[1], name) for name in ("mu.txt", "nu.txt", "b", "i"))
+names = ("mu.txt", "nu.txt", "mu8.txt", "nu8.txt", "b", "i")
+mu, nu, mu8, nu8, b, i = (os.path.join(sys.argv[1], name) for name in names)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["solve", "--mu", mu, "--nu", nu]) == 0
+    assert cli.main(["solve", "--mu", mu8, "--nu", nu8]) == 0
     assert cli.main(["brenier", "--mu", mu, "--nu", nu, "--out", b]) == 0
     assert cli.main(["interpolate", "--mu", mu, "--nu", nu, "--t", "0.5", "--out", i]) == 0
     assert cli.main(["right-translation", "--mu", mu, "--q0", "1.5,0.2,0"]) == 0
@@ -73,11 +76,17 @@ assert loaded == [], loaded
 def test_import_layering(tmp_path):
     # A fresh interpreter: importing the package loads no submodule and no
     # numpy, the start-up bound commands run without numpy, and solve,
-    # brenier, interpolate and right-translation on a 6x6 pair run without
-    # logging, numpy.random or dataclasses.
+    # brenier, interpolate and right-translation on a 6x6 pair, and solve on
+    # an 8x8 pair with 15 support pairs, run without logging, numpy.random
+    # or dataclasses.
     from sublorentz.measures_io import sample_chronological_pair, save_measure
+    from sublorentz.transport import CostParams, solve_kantorovich
 
     for measure, name in zip(sample_chronological_pair(6, 6, seed=1, weights="random"), ("mu.txt", "nu.txt")):
+        save_measure(measure, str(tmp_path / name))
+    pair8 = sample_chronological_pair(8, 8, seed=5, weights="random")
+    assert len(solve_kantorovich(*pair8, CostParams(0.5))[0].support()) > 12
+    for measure, name in zip(pair8, ("mu8.txt", "nu8.txt")):
         save_measure(measure, str(tmp_path / name))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
