@@ -373,16 +373,46 @@ def test_missing_required_argument_exits_2():
     assert _argparse_exit_code(["tau", "--from", "0,0,0"]) == 2
 
 
+# verify's whole output at seeds 0 and 3: every suite's margin is frozen, so
+# a change that moves any float the suites compute fails here.
+VERIFY_SEED_0 = """\
+PASS  exp-log-roundtrip           sup deviation 1.509e-12 over 2000 points
+PASS  flow-vs-ode                 sup deviation 2.376e-14 over 60 flows
+PASS  tau-consistency             sup deviation 1.332e-15; planar fixture 0.000e+00
+PASS  reverse-triangle            worst violation 0.000e+00 over 2000 chains
+PASS  planar-bound                worst excess 0.000e+00 over 2000 pairs
+PASS  lp-duality                  gap 8.882e-16; monotonicity violation 3.553e-15; brute-force diff 0.000e+00
+PASS  brenier-roundtrip           map-vs-plan 4.996e-15; forward/backward 1.377e-14
+PASS  displacement-interpolation  pointwise 1.221e-15; measure-level 2.220e-16
+PASS  right-translation           predicate/LP agreement 20/20
+PASS  monge-ampere                residual 5.724e-12; |det - 1| 7.164e-12
+PASS  minkowski-lift              planar-vs-native value diff 0.000e+00
+PASS  partition-length            finest-partition length error 2.442e-15
+overall PASS
+"""
+
+VERIFY_SEED_3 = """\
+PASS  exp-log-roundtrip           sup deviation 4.940e-13 over 2000 points
+PASS  flow-vs-ode                 sup deviation 6.121e-14 over 60 flows
+PASS  tau-consistency             sup deviation 1.110e-15; planar fixture 0.000e+00
+PASS  reverse-triangle            worst violation 0.000e+00 over 2000 chains
+PASS  planar-bound                worst excess 0.000e+00 over 2000 pairs
+PASS  lp-duality                  gap 8.882e-16; monotonicity violation 1.776e-15; brute-force diff 0.000e+00
+PASS  brenier-roundtrip           map-vs-plan 4.552e-15; forward/backward 3.220e-15
+PASS  displacement-interpolation  pointwise 1.110e-15; measure-level 1.110e-16
+PASS  right-translation           predicate/LP agreement 20/20
+PASS  monge-ampere                residual 7.553e-12; |det - 1| 8.551e-12
+PASS  minkowski-lift              planar-vs-native value diff 0.000e+00
+PASS  partition-length            finest-partition length error 9.992e-16
+overall PASS
+"""
+
+
 def test_verify_runs_all_suites(capsys):
     assert main(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") >= 13  # 12 suites plus the overall line
-    assert "overall PASS" in out
-    # frozen RK4 margin of the default seed 0
-    assert "PASS  flow-vs-ode                 sup deviation 2.376e-14 over 60 flows\n" in out
+    assert capsys.readouterr() == (VERIFY_SEED_0, "")
 
 
 def test_verify_seed_3_flow_margin(capsys):
     assert main(["verify", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS  flow-vs-ode                 sup deviation 6.121e-14 over 60 flows\n" in out
+    assert capsys.readouterr() == (VERIFY_SEED_3, "")

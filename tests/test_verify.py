@@ -11,7 +11,7 @@ import pytest
 from sublorentz import causality, verify
 from sublorentz.brenier import MapSample, interpolate, potential_from_duals, transport_map_from_duals
 from sublorentz.causality import CausalRelation, classify, tau, tau_partition_length
-from sublorentz.geodesics import GeodesicArc, exp_map
+from sublorentz.geodesics import GeodesicArc, exp_map, flow
 from sublorentz.heisenberg import IDENTITY, FrameCovector, GroupPoint, energy, mul
 from sublorentz.measures_io import sample_chronological_pair
 from sublorentz.transport import (
@@ -57,6 +57,21 @@ def test_batched_rk4_is_bit_identical_to_per_flow_loop():
     assert np.array_equal(batched, looped)
 
 
+@pytest.mark.parametrize("steps", [1, 7])
+@pytest.mark.parametrize("hz", [(0.0, 0.0), (-0.7, -1.3), (0.0, -1.1)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_rk4_bit_identical_on_small_shapes(n, hz, steps):
+    # one and two flows, with hZ = 0 and hZ < 0, after one and a few steps:
+    # the shapes where the oracle's row views could go wrong
+    rng = np.random.default_rng(11)
+    covs = np.column_stack([rng.uniform(-2, 2, n), rng.uniform(-2, 2, n), hz[:n]])
+    ts = rng.uniform(0.2, 2.0, n)
+    batched = _rk4_flows(covs, ts, steps)
+    looped = np.array([_rk4_one(cov, float(t), steps) for cov, t in zip(covs, ts)])
+    assert batched.shape == (n, 5)
+    assert np.array_equal(batched, looped)
+
+
 # -- the suites' draws, one Generator.uniform call per number ----------------
 
 
@@ -79,7 +94,23 @@ def test_batched_draws_are_bit_identical_to_uniform_calls():
         assert np.array_equal(np.array(verify._points(u, (-1.0, -1.0, -0.5), (3.0, 1.0, 0.5))), looped)
 
 
-# The five suites as they were written with scalar draws.
+# The six suites as they were written with scalar draws.
+
+
+def _flow_vs_ode(seed):
+    rng = np.random.default_rng(seed)
+    n = 60
+    covs = np.empty((n, 3))
+    ts = np.empty(n)
+    for k in range(n):
+        covs[k] = rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-1.5, 1.5)
+        ts[k] = rng.uniform(0.2, 2.0)
+    exact = []
+    for cov, t in zip(covs, ts):
+        point, (hx, hy, _) = flow(IDENTITY, FrameCovector(*cov), t)
+        exact.append([*point, hx, hy])
+    worst = float(np.abs(np.array(exact) - _rk4_flows(covs, ts, steps=4000)).max())
+    return SuiteResult("flow-vs-ode", worst <= 1e-8, f"sup deviation {worst:.3e} over {n} flows")
 
 
 def _tau_consistency(seed):
@@ -189,6 +220,7 @@ def _partition_length(seed):
 
 
 SUITES = [
+    (verify.suite_flow_vs_ode, _flow_vs_ode),
     (verify.suite_tau_consistency, _tau_consistency),
     (verify.suite_reverse_triangle, _reverse_triangle),
     (verify.suite_planar_bound, _planar_bound),
@@ -199,16 +231,28 @@ SUITES = [
 
 @pytest.mark.parametrize("seed", range(6))
 def test_batched_suites_match_scalar_draw_loops(seed, monkeypatch):
-    # Besides the results, compare every pair the suites pass to tau: the
-    # details print 4 digits, and some read 0 whatever the draws are.
+    # Besides the results, compare every pair the suites pass to tau and
+    # every input they pass to the RK4 oracle: the details print 4 digits,
+    # and some read 0 whatever the draws are.  Equal inputs give equal RK4
+    # states, so each is integrated once.
     calls = []
+    states = {}
 
     def recording(a, b, tau=causality.tau):
         calls.append((a, b))
         return tau(a, b)
 
+    def recording_rk4(covs, ts, steps, rk4=_rk4_flows):
+        key = (covs.tobytes(), ts.tobytes(), steps)
+        calls.append(key)
+        if key not in states:
+            states[key] = rk4(covs, ts, steps)
+        return states[key]
+
     for module in (causality, verify, sys.modules[__name__]):
         monkeypatch.setattr(module, "tau", recording)
+    for module in (verify, sys.modules[__name__]):
+        monkeypatch.setattr(module, "_rk4_flows", recording_rk4)
     for batched, looped in SUITES:
         calls.clear()
         result = batched(seed)
