@@ -24,6 +24,7 @@ from .transport import CostMatrix, DiscreteMeasure, TransportPlan
 
 HEADER = "sublorentz-measure v1"
 WEIGHT_SUM_TOL = 1e-6
+DIAMOND_BLOCK = 1 << 14  # rows per draw in sample_diamond
 
 
 def _fmt(v: float) -> str:
@@ -105,10 +106,14 @@ def sample_diamond(q0: GroupPoint, q1: GroupPoint, n: int, rng, max_tries: int =
 
     Vectorized rejection sampling from the diamond's bounding box; the accept
     test is classify_array, so returned points are strictly chronological
-    after q0 and strictly before q1.
-    Acceptance rates hover around a percent for elongated diamonds, hence the
-    generous try budget.  rng is a numpy Generator or a seed; max_tries
-    counts raw box draws.
+    after q0 and strictly before q1.  Acceptance rates hover around a percent
+    for elongated diamonds, hence the generous try budget.  rng is a numpy
+    Generator or a seed; max_tries counts raw box draws, made in chunks of 150
+    per missing point (at least 4096).  A chunk is drawn and tested in blocks
+    of DIAMOND_BLOCK rows, so the working memory is about 1.3 MiB for any n;
+    once n points are in, the rest of the chunk is drawn and dropped.  Points
+    and end state are those of one uniform call per chunk, for any
+    BitGenerator: uniform and random both take one double per value.
     """
     if not hasattr(rng, "uniform"):
         rng = np.random.default_rng(rng)
@@ -120,17 +125,16 @@ def sample_diamond(q0: GroupPoint, q1: GroupPoint, n: int, rng, max_tries: int =
     tries = 0
     while len(out) < n and tries < max_tries:
         chunk = int(min(max(4096, 150 * (n - len(out))), max_tries - tries))
-        draws = rng.uniform(lo, hi, size=(chunk, 3))
         tries += chunk
-        # test in blocks of rows: the cone tests' temporaries stay small
-        keep = np.concatenate([
-            classify_array(IDENTITY, part)[0] & classify_array(part, apex)[0]
-            for part in np.split(draws, range(1 << 16, chunk, 1 << 16))
-        ])
-        for row in draws[keep].tolist():  # Python floats: the scalar kernels run faster on them
-            if len(out) == n:
-                break
-            out.append(mul(q0, GroupPoint(*row)))
+        for start in range(0, chunk, DIAMOND_BLOCK):
+            rows = min(DIAMOND_BLOCK, chunk - start)
+            if len(out) == n:  # keep the stream: draw what one uniform call would
+                rng.random(3 * rows)
+                continue
+            draws = rng.uniform(lo, hi, size=(rows, 3))
+            keep = classify_array(IDENTITY, draws)[0] & classify_array(draws, apex)[0]
+            # Python floats: the scalar kernels run faster on them
+            out.extend(mul(q0, GroupPoint(*row)) for row in draws[keep][: n - len(out)].tolist())
     if len(out) < n:
         raise GenerationFailure(f"diamond sampling got {len(out)}/{n} points")
     return tuple(out)

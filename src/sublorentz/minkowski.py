@@ -126,6 +126,11 @@ def seeded_verdict_instance(seed: int):
     some rearrangement strictly beats it by more than 1e-6 at p = 0.5.
     Either way the verdict at threshold 1e-8 is decidable with a wide margin.
     """
+    return _seeded_verdict(seed)[:2]
+
+
+def _seeded_verdict(seed: int):
+    """seeded_verdict_instance(seed) plus the verdict that accepted it (None for even seeds)."""
     rng = np.random.default_rng(seed)
 
     def draw_cluster(spread: float) -> DiscreteMeasure:
@@ -150,10 +155,10 @@ def seeded_verdict_instance(seed: int):
         return GroupPoint(x0, y0, z0)
 
     if seed % 2 == 0:
-        return draw_cluster(0.5), draw_base(planar=True)
+        return draw_cluster(0.5), draw_base(planar=True), None
     for _ in range(64):
         mu = draw_cluster(rng.uniform(0.25, 0.45))
         q0 = draw_base(planar=False)
-        if right_translation_verdict(mu, q0, CostParams(0.5)).gap > 1e-6:
-            return mu, q0
+        if (verdict := right_translation_verdict(mu, q0, CostParams(0.5))).gap > 1e-6:
+            return mu, q0, verdict
     raise GenerationFailure(f"seed {seed}: no cluster with improvement above 1e-6 in 64 tries")

@@ -9,6 +9,7 @@ from sublorentz.causality import PlanarPoint, minkowski_tau, tau
 from sublorentz.errors import NoCausalCoupling
 from sublorentz.heisenberg import IDENTITY, GroupPoint, mul
 from sublorentz.minkowski import (
+    _seeded_verdict,
     planar_cost_matrix,
     project_measure,
     right_translation_verdict,
@@ -143,6 +144,16 @@ def test_seeded_verdict_agreement_sample():
         if seed % 2 == 1:
             assert q0.z != 0.0
             assert verdict.gap > 1e-6
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_verdict_is_the_verdict_of_its_instance(seed):
+    # verify's right-translation suite reuses the verdict that accepted an
+    # odd seed's instance in place of solving its LP again
+    mu, q0, verdict = _seeded_verdict(seed)
+    fresh_mu, fresh_q0 = seeded_verdict_instance(seed)
+    assert q0 == fresh_q0 and mu.atoms == fresh_mu.atoms
+    assert verdict == (right_translation_verdict(mu, q0, P) if seed % 2 else None)
 
 
 @pytest.mark.parametrize("seed", range(6))

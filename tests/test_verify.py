@@ -260,3 +260,11 @@ def test_batched_suites_match_scalar_draw_loops(seed, monkeypatch):
         calls.clear()
         assert result == looped(seed)
         assert batched_calls == calls
+
+
+@pytest.mark.parametrize("seed, deviation", [
+    (0, "1.509e-12"), (1, "5.291e-13"), (2, "9.315e-12"), (3, "4.940e-13"), (4, "9.359e-13"), (5, "9.506e-13"),
+])
+def test_exp_log_roundtrip_detail_is_frozen(seed, deviation):
+    result = verify.suite_exp_log_roundtrip(seed)
+    assert result == SuiteResult("exp-log-roundtrip", True, f"sup deviation {deviation} over 2000 points")
