@@ -3,8 +3,8 @@ properties.  Each suite returns a SuiteResult; run_suites collects them all.
 
 They are wired to the `verify` CLI subcommand, so an installation can
 certify itself without the development test tree; the whole command takes
-about 0.43 s on one vCPU of a shared 2-vCPU VM (median of 11 pinned runs,
-2026-10-20; 0.46 s before sample_diamond drew in blocks; bare Python 67 ms).
+about 0.5 s on one vCPU of a shared 2-vCPU VM (20 pinned runs, 2026-10-20:
+0.43-0.81 s, the median pair 28 ms under the parent's; bare Python 45 ms).
 """
 
 from __future__ import annotations

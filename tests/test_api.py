@@ -1,6 +1,7 @@
 """The public names are their home modules' own objects, importing the
 package loads none of its modules, the functions the benchmark tracer wraps
-exist, and every public function, class and result field has a reader."""
+exist, every public function, class and result field has a reader, and the
+console script and ``python -m sublorentz.cli`` enter through one function."""
 
 import ast
 import importlib
@@ -9,6 +10,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import sublorentz
 
@@ -110,6 +113,29 @@ def test_no_module_imports_dataclasses():
             if "dataclasses" in (name.split(".")[0] for name in names):
                 importers.append(path.name)
     assert importers == []
+
+
+def test_console_script_and_main_block_share_one_entry():
+    # pyproject's sublorentz script and cli.py's __main__ block call the same
+    # process entry, and neither calls main directly: the exit has one path
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        script = tomllib.load(f)["project"]["scripts"]["sublorentz"]
+    module, _, target = script.partition(":")
+    assert module == "sublorentz.cli"
+    blocks = [
+        node
+        for node in ast.parse((ROOT / "src" / "sublorentz" / "cli.py").read_text()).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert len(blocks) == 1
+    calls = [
+        ast.unparse(node.func) for stmt in blocks[0].body for node in ast.walk(stmt) if isinstance(node, ast.Call)
+    ]
+    assert calls == [target] and target != "main", (script, calls)
+    from sublorentz import cli
+
+    assert callable(getattr(cli, target, None))
 
 
 def _traced():

@@ -1,8 +1,13 @@
 """End-to-end CLI behaviour: output lines, files written, exit codes."""
 
 import argparse
+import gc
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,3 +421,58 @@ def test_verify_runs_all_suites(capsys):
 def test_verify_seed_3_flow_margin(capsys):
     assert main(["verify", "--seed", "3"]) == 0
     assert capsys.readouterr() == (VERIFY_SEED_3, "")
+
+
+# The process entry (python -m sublorentz.cli, and the console script) adds
+# nothing to main(argv) but gc.freeze() and sys.exit: a process prints, exits
+# and writes what main() does in this one.  Paths are relative to the working
+# directory of each side, so no temporary path appears in either output.
+PROCESS_CASES = {
+    "solve-out": ["solve", "--mu", "mu.txt", "--nu", "nu.txt", "--out", "plan.csv"],
+    "brenier-out": ["brenier", "--mu", "mu.txt", "--nu", "nu.txt", "--out", "b", "--t", "0.25,0.5"],
+    "argument-error": ["tau", "--from", "0,0", "--to", "2,1,0"],
+    "file-parse-error": ["solve", "--mu", "mu.txt", "--nu", "bad.txt"],
+    "infeasible": ["solve", "--mu", "mu.txt", "--nu", "space.txt"],
+}
+
+
+def _write_inputs(directory):
+    for measure, name in zip(sample_chronological_pair(6, 6, seed=1, weights="random"), ("mu.txt", "nu.txt")):
+        save_measure(measure, str(directory / name))
+    (directory / "bad.txt").write_text("not-a-measure\natom 2 0 0 1\n")
+    (directory / "space.txt").write_text(f"{HEADER}\natom -5 0 0 1\n")
+    return {p.name for p in directory.iterdir()}
+
+
+def _outputs(directory, inputs):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.name not in inputs}
+
+
+@pytest.mark.parametrize("case", sorted(PROCESS_CASES))
+def test_process_matches_in_process_main(case, tmp_path, monkeypatch, capsys):
+    argv = PROCESS_CASES[case]
+    here, there = tmp_path / "in_process", tmp_path / "process"
+    here.mkdir()
+    there.mkdir()
+    inputs = _write_inputs(here)
+    _write_inputs(there)
+
+    monkeypatch.chdir(here)
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    try:
+        code = main(list(argv))
+    except SystemExit as exit_:
+        code = exit_.code
+    # main() itself leaves the collector as it found it
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    out, err = capsys.readouterr()
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "sublorentz.cli", *argv],
+                          cwd=there, env=env, capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+    assert _outputs(there, inputs) == _outputs(here, inputs)
+    assert code == {"solve-out": 0, "brenier-out": 0, "infeasible": 4}.get(case, 2)
+    if code == 0:
+        assert _outputs(here, inputs)
