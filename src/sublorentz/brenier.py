@@ -91,7 +91,7 @@ _PRECEDES = "{where!r} does not chronologically precede target atom {k}"
 def active_branch(pot: SemiDiscretePotential, q: GroupPoint) -> int:
     """Index of the minimizing branch at any point q, from scalar tau calls;
     DomainViolation off the domain, NondifferentiableAt on numerical ties."""
-    gains = np.array([pot.params.gain(tau(q, y)) for y in pot.target_atoms])
+    gains = pot.params.gain(np.array([tau(q, y) for y in pot.target_atoms]))
     return _pick_branch(pot.psi, gains, q, _PRECEDES)
 
 

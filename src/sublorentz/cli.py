@@ -15,7 +15,8 @@ per process; all randomness is seeded; numeric output uses 9 significant
 digits unless --digits overrides.
 
 Exit codes: 0 success, 1 failed verification, 2 argument or file parse
-error, 3 I/O error, 4 causally infeasible input.
+error, 3 I/O error, 4 causally infeasible input, 141 stdout closed early
+by its reader (128 + SIGPIPE, as a shell reports for a C tool).
 
 Start-up is most of a short command's time, so this module imports only the
 numpy-free scalar layers (heisenberg, causality, geodesics, errors).  Each
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import re
 import sys
 
@@ -49,6 +51,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_IO = 3
 EXIT_INFEASIBLE = 4
+EXIT_PIPE = 141
 
 
 def _triple(text: str):
@@ -375,6 +378,8 @@ def main(argv=None) -> int:
     except (ParseError, WeightError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        raise  # a closed stdout is the process's to handle, in run()
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
@@ -385,8 +390,15 @@ def main(argv=None) -> int:
 
 
 def run():
-    """Process entry point: main() on sys.argv, then exit with its code."""
-    code = main()
+    """Process entry point: main() on sys.argv, then exit with its code.  A
+    reader that closes stdout early gets EXIT_PIPE and no stderr; stdout then
+    points at os.devnull, so the interpreter's last flush cannot fail again."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
     gc.freeze()  # the shutdown collections then skip every live object
     sys.exit(code)
 

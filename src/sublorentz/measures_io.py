@@ -158,14 +158,10 @@ def sample_chronological_pair(n: int, m: int, seed: int, weights: str = "uniform
         i, j = np.argwhere(~chronological)[0]
         raise GenerationFailure(f"rectangle pair ({mu_atoms[i]!r}, {nu_atoms[j]!r}) not chronological")
     if weights == "uniform":
-        wa = np.full(n, 1.0 / n)
-        wb = np.full(m, 1.0 / m)
+        wa, wb = np.ones(n), np.ones(m)
     elif weights == "random":
-        wa = rng.random(n) + 0.1
-        wa /= wa.sum()
-        wb = rng.random(m) + 0.1
-        wb /= wb.sum()
+        wa, wb = rng.random(n) + 0.1, rng.random(m) + 0.1
     else:
         raise ValueError(f"unknown weights mode {weights!r}")
-    return DiscreteMeasure(mu_atoms, wa), DiscreteMeasure(nu_atoms, wb)
+    return DiscreteMeasure(mu_atoms, wa / wa.sum()), DiscreteMeasure(nu_atoms, wb / wb.sum())
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .causality import CausalRelation, classify, minkowski_tau, tau
+from .causality import CausalRelation, classify, tau
 from .errors import GenerationFailure, NoCausalCoupling
 from .heisenberg import IDENTITY, GroupPoint, mul
 from .simplex import gain_exponent
@@ -42,17 +42,11 @@ def project_measure(mu: DiscreteMeasure) -> DiscreteMeasure:
 
 def planar_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams) -> CostMatrix:
     """Gains of the Minkowski plane between the (x, y) projections of the
-    atoms, from the closed form minkowski_tau; z is ignored."""
-    n, m = len(mu.atoms), len(nu.atoms)
-    values = np.zeros((n, m))
-    feasible = np.zeros((n, m), dtype=bool)
-    for i, a in enumerate(mu.atoms):
-        for j, b in enumerate(nu.atoms):
-            dx = b.x - a.x
-            dy = b.y - a.y
-            if dx >= abs(dy):
-                feasible[i, j] = True
-                values[i, j] = params.gain(minkowski_tau(a, b))
+    atoms, minkowski_tau's closed form broadcast over all pairs; z is ignored."""
+    d = nu._coords[None, :, :2] - mu._coords[:, None, :2]
+    dx, dy = d[..., 0], d[..., 1]
+    feasible = dx >= np.abs(dy)
+    values = params.gain(np.sqrt(np.where(feasible, (dx - dy) * (dx + dy), 0.0)))
     values.flags.writeable = feasible.flags.writeable = False
     return CostMatrix(values, feasible)
 

@@ -39,12 +39,10 @@ class CostParams:
         self.p = p
 
     def gain(self, t):
-        """tau^p / p, zero where tau <= 0; t is a float or a numpy array."""
-        if isinstance(t, np.ndarray):
-            return np.maximum(t, 0.0) ** self.p / self.p
-        if t <= 0.0:
-            return 0.0
-        return t**self.p / self.p
+        """tau^p / p, zero where tau <= 0, for an array of taus or a float: a
+        float runs as a one-element array, so it gets the array's bits."""
+        g = np.maximum(np.atleast_1d(t), 0.0) ** self.p / self.p
+        return g if isinstance(t, np.ndarray) else float(g[0])
 
 
 class DiscreteMeasure:
@@ -266,9 +264,11 @@ class MonotonicityReport(NamedTuple):
     Reassignments that route mass through a causally unrelated pair are not
     admissible couplings at all, so such cycles can never witness a
     violation.  cycles_checked counts the cycles scored one by one: 0 beyond
-    12 support pairs, where potentials decide.  exhaustive is always True.
-    Both fields stay only because solve prints them and the benchmark's span
-    counters and its solve-small check read them.
+    12 support pairs, where potentials decide.  exhaustive is always True,
+    though on at most 12 pairs only cycles of up to max_cycle pairs are
+    scored: a 12-pair plan's improving 7-cycle reads 0.0.  Both fields stay
+    only because solve prints them and the benchmark's span counters and
+    its solve-small check read them.
     """
 
     worst_violation: float

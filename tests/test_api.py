@@ -4,6 +4,7 @@ exist, every public function, class and result field has a reader, and the
 console script and ``python -m sublorentz.cli`` enter through one function."""
 
 import ast
+import functools
 import importlib
 import os
 import re
@@ -19,10 +20,22 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "sublorentz").glob("*.py") if p.name != "__init__.py")
 
 
+@functools.lru_cache(maxsize=None)
+def _tree(path):
+    """The parsed file at path, parsed once per session; callers only read it."""
+    return ast.parse(path.read_text())
+
+
+@functools.lru_cache(maxsize=None)
+def _nodes(path):
+    """Every node of _tree(path), in ast.walk order, listed once per session."""
+    return tuple(ast.walk(_tree(path)))
+
+
 def _defined_names(path):
     """The names a module's top level defines: functions, classes, assignments."""
     names = set()
-    for node in ast.parse(path.read_text()).body:
+    for node in _tree(path).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, ast.Assign):
@@ -103,7 +116,7 @@ def test_no_module_imports_dataclasses():
     # modules the layering probe never loads, such as svg.
     importers = []
     for path in sorted((ROOT / "src" / "sublorentz").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in _nodes(path):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -125,7 +138,7 @@ def test_console_script_and_main_block_share_one_entry():
     assert module == "sublorentz.cli"
     blocks = [
         node
-        for node in ast.parse((ROOT / "src" / "sublorentz" / "cli.py").read_text()).body
+        for node in _tree(ROOT / "src" / "sublorentz" / "cli.py").body
         if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
     ]
     assert len(blocks) == 1
@@ -141,7 +154,7 @@ def test_console_script_and_main_block_share_one_entry():
 def _traced():
     # read the list without importing the benchmark package
     spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    for node in ast.parse(spans.read_text()).body:
+    for node in _tree(spans).body:
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]:
             return ast.literal_eval(node.value)
     raise AssertionError("bench/spans.py defines no TRACED list")
@@ -161,7 +174,7 @@ def test_every_traced_function_exists():
 def _read_names(path):
     """Every identifier the file reads, as a name or as an attribute."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in _nodes(path):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -173,7 +186,7 @@ def _read_attributes(path):
     """Every name the file reads as an attribute, obj.name."""
     return {
         node.attr
-        for node in ast.walk(ast.parse(path.read_text()))
+        for node in _nodes(path)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
 
@@ -196,7 +209,7 @@ def test_every_public_name_has_a_reader():
     readme = (ROOT / "README.md").read_text()
     unread = []
     for path in MODULES:
-        for node in ast.parse(path.read_text()).body:
+        for node in _tree(path).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             if node.name not in readers[path] and not re.search(rf"\b{node.name}\b", readme):
@@ -226,7 +239,7 @@ def test_every_field_has_a_reader():
     unread = [
         f"{path.stem}.{cls.name}.{field}"
         for path in MODULES
-        for cls in ast.parse(path.read_text()).body
+        for cls in _tree(path).body
         if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
         for field in _fields(cls)
         if not field.startswith("_") and field not in readers[path]
@@ -237,7 +250,7 @@ def test_every_field_has_a_reader():
 def _body_nodes(module, name):
     """Every AST node in the body of a top-level function (not its signature)."""
     path = ROOT / "src" / "sublorentz" / f"{module}.py"
-    for node in ast.parse(path.read_text()).body:
+    for node in _tree(path).body:
         if isinstance(node, ast.FunctionDef) and node.name == name:
             return [sub for stmt in node.body for sub in ast.walk(stmt)]
     raise AssertionError(f"{module}.py defines no {name}")
@@ -276,7 +289,7 @@ def test_scalar_path_builds_records_without_their_constructors():
     for node in _body_nodes("causality", "_beta_twist"):
         if isinstance(node, (ast.For, ast.While, ast.comprehension)):
             found.append("causality._beta_twist loops")
-    geodesics = ast.parse((ROOT / "src" / "sublorentz" / "geodesics.py").read_text())
+    geodesics = _tree(ROOT / "src" / "sublorentz" / "geodesics.py")
     if any(getattr(node, "name", None) == "_flow_factors" for node in geodesics.body):
         found.append("geodesics defines _flow_factors")
     assert found == []
@@ -306,7 +319,7 @@ def test_one_gain_scale_rule():
 
     found = []
     for path in MODULES:
-        for func in ast.walk(ast.parse(path.read_text())):
+        for func in _nodes(path):
             if not isinstance(func, ast.FunctionDef):
                 continue
             nodes = [sub for stmt in func.body for sub in ast.walk(stmt)]

@@ -10,6 +10,7 @@ import pytest
 from sublorentz.brenier import (
     MapSample,
     SemiDiscretePotential,
+    TransportMapResult,
     _central_diff,
     _map_atoms,
     active_branch,
@@ -28,6 +29,7 @@ from sublorentz.errors import (
     NondifferentiableAt,
     NotTimelikeGradient,
     OutOfDomain,
+    SingularJacobian,
 )
 from sublorentz.geodesics import log_map
 from sublorentz.heisenberg import (
@@ -342,3 +344,20 @@ def test_monge_ampere_translation_preserves_gaussian():
 def test_monge_ampere_rejects_bad_time():
     with pytest.raises(ValueError):
         monge_ampere_residual(lambda q: None, [], 1.5, lambda q: 1.0, lambda q: 1.0, P)
+
+
+def test_roundtrip_check_is_inf_on_an_empty_backward_map():
+    sample = MapSample(IDENTITY, GroupPoint(2.0, 0.0, 0.0), log_map(IDENTITY, GroupPoint(2.0, 0.0, 0.0)))
+    forward = TransportMapResult((sample,), (0,), ())
+    assert inverse_roundtrip_check(forward, TransportMapResult((), (), ((0, "skipped"),))) == math.inf
+    assert inverse_roundtrip_check(TransportMapResult((), (), ()), TransportMapResult((), (), ())) == 0.0
+
+
+def test_monge_ampere_raises_on_a_singular_jacobian():
+    # one target atom: the map at t = 1 sends every point to it, so its
+    # Jacobian vanishes up to roundoff
+    pot = SemiDiscretePotential((GroupPoint(2.0, 0.0, 0.0),), np.zeros(1), P)
+    with pytest.raises(SingularJacobian, match=r"\|det\| = "):
+        monge_ampere_residual(
+            lambda q: potential_gradient(pot, q), [IDENTITY], 1.0, lambda q: 1.0, lambda q: 1.0, P
+        )

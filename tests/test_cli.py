@@ -476,3 +476,50 @@ def test_process_matches_in_process_main(case, tmp_path, monkeypatch, capsys):
     assert code == {"solve-out": 0, "brenier-out": 0, "infeasible": 4}.get(case, 2)
     if code == 0:
         assert _outputs(here, inputs)
+
+
+def test_brenier_writes_svg(fixture_files, tmp_path, capsys):
+    mu, nu = fixture_files
+    svg = tmp_path / "map.svg"
+    assert main(["brenier", "--mu", str(mu), "--nu", str(nu), "--out", str(tmp_path / "b"), "--svg", str(svg)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {svg}"
+    text = svg.read_text()
+    assert text.startswith("<svg") and "Brenier map" in text and "<line" in text
+
+
+def test_non_numeric_time_exits_2(fixture_files, capsys):
+    mu, nu = fixture_files
+    assert _argparse_exit_code(["brenier", "--mu", str(mu), "--nu", str(nu), "--t", "0.5,x"]) == 2
+    assert "not a comma-separated float list: '0.5,x'" in capsys.readouterr().err
+
+
+# A reader that closes the pipe early (`| true`, `| head -1`) ends the process
+# with 141, as SIGPIPE ends a C tool, and nothing on stderr.  Unbuffered, the
+# failing write comes during the command; buffered, tau's output fails only at
+# the final flush.  tau's pipe is closed before the process starts; the
+# geodesic writes about 0.8 MB, far past the pipe's capacity.
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv, head", [
+    (["tau", "--from", "0,0,0", "--to", "1,0,0"], []),
+    (["geodesic", "--cov=-1,0,1", "--n", "20000"], [b"t,x,y,z\n"]),
+], ids=["tau", "geodesic"])
+def test_closed_stdout_exits_141_without_a_message(argv, head, unbuffered):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "sublorentz.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    lines = [proc.stdout.readline() for _ in head]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), lines, err) == (141, head, b"")
+
+
+def test_failed_out_write_exits_3(fixture_files, tmp_path, capsys):
+    mu, nu = fixture_files
+    out = tmp_path / "missing-dir" / "plan.csv"
+    assert main(["solve", "--mu", str(mu), "--nu", str(nu), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")

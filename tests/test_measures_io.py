@@ -248,3 +248,8 @@ def test_sample_diamond_memory_does_not_grow_with_the_chunk(n, shift):
     finally:
         tracemalloc.stop()
     assert peak <= 4 << 20  # one chunk in one array took 10.6 and 39.6 MiB
+
+
+def test_sample_chronological_pair_rejects_an_unknown_weights_mode():
+    with pytest.raises(ValueError, match="unknown weights mode 'dirichlet'"):
+        sample_chronological_pair(2, 2, seed=1, weights="dirichlet")

@@ -171,3 +171,36 @@ def test_verdicts_agree_under_dilations(seed):
         mu = DiscreteMeasure(tuple(map(dilate, mu0.atoms)), mu0.weights)
         verdict = right_translation_verdict(mu, dilate(q0), P)
         assert verdict.agrees, (j, verdict)
+
+
+def _planar_cost_loop(mu, nu, params):
+    """The planar gains as one scalar minkowski_tau and gain call per pair."""
+    values = np.zeros((len(mu), len(nu)))
+    feasible = np.zeros((len(mu), len(nu)), dtype=bool)
+    for i, a in enumerate(mu.atoms):
+        for j, b in enumerate(nu.atoms):
+            if b.x - a.x >= abs(b.y - a.y):
+                feasible[i, j] = True
+                values[i, j] = params.gain(minkowski_tau(a, b))
+    return values, feasible
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_planar_cost_matrix_matches_the_pair_loop(seed):
+    rng = np.random.default_rng(seed)
+    params = CostParams((0.3, 0.5, 0.7)[seed % 3])
+
+    def measure(n, shift):
+        # quarter-integer grid points make many pairs null (dx == |dy|)
+        # exactly; the uniform draws add generic ones
+        xy = np.concatenate([rng.integers(-8, 9, (n, 2)) / 4.0, rng.uniform(-2.0, 2.0, (n, 2))])
+        atoms = np.column_stack([xy[:, 0] + shift, xy[:, 1], rng.uniform(-1.0, 1.0, 2 * n)])
+        return DiscreteMeasure(atoms, np.full(2 * n, 1.0 / (2 * n)))
+
+    mu, nu = measure(20, 0.0), measure(15, 1.0)
+    cm = planar_cost_matrix(mu, nu, params)
+    values, feasible = _planar_cost_loop(mu, nu, params)
+    assert np.array_equal(cm.feasible, feasible)
+    assert cm.values.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+    null = feasible & (values == 0.0)
+    assert null.any() and (feasible & ~null).any() and not feasible.all()

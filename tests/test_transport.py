@@ -851,3 +851,54 @@ def test_support_lists_pairs_above_tolerance_in_row_major_order():
     support = TransportPlan(masses, 0.0).support()
     assert support == [(0, 1), (1, 0), (1, 2), (2, 1)]
     assert all(type(i) is int and type(j) is int for i, j in support)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_scalar_gain_is_the_array_entry_bit_for_bit(p):
+    # libm's pow and numpy's differ in the last bit on a few percent of
+    # inputs, so a scalar path of its own would not match the cost matrix
+    rng = np.random.default_rng(31)
+    taus = np.concatenate([
+        [0.0, -1.0, 5e-324, 1e300],
+        rng.uniform(0.0, 4.0, 6000),
+        10.0 ** rng.uniform(-300.0, 300.0, 4000),
+    ])
+    params = CostParams(p)
+    want = params.gain(taus)
+    got = [params.gain(t) for t in taus.tolist()]
+    assert all(type(g) is float for g in got)
+    assert np.array(got).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert got[:2] == [0.0, 0.0] and got[2] > 0.0 and math.isfinite(got[3])
+
+
+def test_nan_weight_is_a_weight_error():
+    with pytest.raises(WeightError, match="non-finite weight"):
+        DiscreteMeasure([(0, 0, 0), (1, 0, 0)], [0.5, math.nan])
+
+
+def test_lorentz_wasserstein_is_minus_inf_without_a_causal_coupling():
+    mu, _ = _fixture()
+    past = DiscreteMeasure([(-5.0, 0.0, 0.0)], [1.0])
+    assert lorentz_wasserstein(mu, past, P) == -math.inf
+
+
+def test_brute_force_plan_rejects_what_it_cannot_enumerate():
+    mu, nu = _fixture()
+    with pytest.raises(ValueError, match="n == m <= 8"):
+        brute_force_plan(mu, DiscreteMeasure([(2.0, 0.0, 0.0)], [1.0]), P)
+    lopsided = DiscreteMeasure(nu.atoms, [0.25, 0.75])
+    with pytest.raises(ValueError, match="uniform weights"):
+        brute_force_plan(mu, lopsided, P)
+    past = DiscreteMeasure([(-5.0, 0.0, 0.0), (-6.0, 0.0, 0.0)], [0.5, 0.5])
+    with pytest.raises(NoCausalCoupling, match="every permutation"):
+        brute_force_plan(mu, past, P)
+
+
+def test_solve_max_transport_rejects_mismatched_shapes_and_unbalanced_marginals():
+    values = np.ones((2, 2))
+    with pytest.raises(ValueError, match="inconsistent problem dimensions"):
+        solve_max_transport(values, np.ones((2, 3), bool), [0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(ValueError, match="inconsistent problem dimensions"):
+        solve_max_transport(values, np.ones((2, 2), bool), [1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="must balance"):
+        solve_max_transport(values, np.ones((2, 2), bool), [0.5, 0.5], [0.5, 0.6])
