@@ -17,9 +17,9 @@ import math
 
 import numpy as np
 
-from .causality import causal_diamond_bbox, classify_array
+from .causality import causal_diamond_bbox, classify_array, cone_state
 from .errors import GenerationFailure, ParseError, WeightError
-from .heisenberg import IDENTITY, GroupPoint, group_difference, mul
+from .heisenberg import GroupPoint, group_difference, mul
 from .transport import CostMatrix, DiscreteMeasure, TransportPlan
 
 HEADER = "sublorentz-measure v1"
@@ -102,39 +102,45 @@ def save_trajectory(rows, path) -> None:
 
 
 def sample_diamond(q0: GroupPoint, q1: GroupPoint, n: int, rng, max_tries: int = 4_000_000):
-    """n points strictly inside the causal diamond between q0 and q1.
+    """n >= 0 points strictly inside the causal diamond between q0 and q1.
 
-    Vectorized rejection sampling from the diamond's bounding box; the accept
-    test is classify_array, so returned points are strictly chronological
-    after q0 and strictly before q1.  Acceptance rates hover around a percent
-    for elongated diamonds, hence the generous try budget.  rng is a numpy
-    Generator or a seed; max_tries counts raw box draws, made in chunks of 150
-    per missing point (at least 4096).  A chunk is drawn and tested in blocks
-    of DIAMOND_BLOCK rows, so the working memory is about 1.3 MiB for any n;
-    once n points are in, the rest of the chunk is drawn and dropped.  Points
-    and end state are those of one uniform call per chunk, for any
-    BitGenerator: uniform and random both take one double per value.
+    Rejection sampling from the diamond's bounding box with classify_array's
+    test, so returned points are strictly chronological after q0 and strictly
+    before q1.  Acceptance is about a percent for elongated diamonds, hence
+    the generous try budget.  rng is a numpy Generator or a seed for one;
+    max_tries counts raw box draws, made in chunks of 150 per missing point
+    (at least 4096) and drawn in blocks of DIAMOND_BLOCK rows, so the working
+    memory is about 1.3 MiB for any n.  A block, rng.random((rows, 3)), is
+    classified in passes of 150 rows per missing point, each mapped in place
+    to lo + (hi - lo) * random: Generator.uniform(lo, hi) bit for bit on any
+    BitGenerator.  Passes stop once n points are in; the rest of the chunk is
+    still drawn, as by uniform, so the end state does not depend on where.
     """
-    if not hasattr(rng, "uniform"):
+    if n < 0:
+        raise ValueError(f"sample_diamond needs n >= 0, got {n}")
+    if not hasattr(rng, "random"):
         rng = np.random.default_rng(rng)
     box = causal_diamond_bbox(q0, q1)
     apex = np.array(group_difference(q0, q1))
     lo = np.array([box[0][0], box[1][0], box[2][0]])
-    hi = np.array([box[0][1], box[1][1], box[2][1]])
+    span = np.array([box[0][1], box[1][1], box[2][1]]) - lo
     out = []
     tries = 0
     while len(out) < n and tries < max_tries:
         chunk = int(min(max(4096, 150 * (n - len(out))), max_tries - tries))
         tries += chunk
         for start in range(0, chunk, DIAMOND_BLOCK):
-            rows = min(DIAMOND_BLOCK, chunk - start)
-            if len(out) == n:  # keep the stream: draw what one uniform call would
-                rng.random(3 * rows)
-                continue
-            draws = rng.uniform(lo, hi, size=(rows, 3))
-            keep = classify_array(IDENTITY, draws)[0] & classify_array(draws, apex)[0]
-            # Python floats: the scalar kernels run faster on them
-            out.extend(mul(q0, GroupPoint(*row)) for row in draws[keep][: n - len(out)].tolist())
+            draws = rng.random((min(DIAMOND_BLOCK, chunk - start), 3))
+            done = 0
+            while done < len(draws) and len(out) < n:
+                part = draws[done : done + 150 * (n - len(out))]
+                done += len(part)
+                part *= span
+                part += lo
+                # the draws are their own differences from the identity
+                keep = cone_state(*part.T)[0] & classify_array(part, apex)[0]
+                # Python floats: the scalar kernels run faster on them
+                out.extend(mul(q0, row) for row in part[keep][: n - len(out)].tolist())
     if len(out) < n:
         raise GenerationFailure(f"diamond sampling got {len(out)}/{n} points")
     return tuple(out)
@@ -146,22 +152,24 @@ def sample_chronological_pair(n: int, m: int, seed: int, weights: str = "uniform
     mu lives in the diamond from the identity to (2,0,0), nu in the diamond
     from (2,0,0) to (4,0,0); transitivity of the open causal order then makes
     the whole rectangle chronological, which is verified exhaustively before
-    returning.  weights is "uniform" or "random".
+    returning.  n, m >= 1; weights is "uniform" or "random".
     """
+    if min(n, m) < 1:
+        raise ValueError(f"sample_chronological_pair needs n, m >= 1, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
     a = GroupPoint(2.0, 0.0, 0.0)
     b = GroupPoint(4.0, 0.0, 0.0)
     mu_atoms = sample_diamond(GroupPoint(0.0, 0.0, 0.0), a, n, rng)
     nu_atoms = sample_diamond(a, b, m, rng)
-    chronological = classify_array(np.array(mu_atoms)[:, None], np.array(nu_atoms)[None, :])[0]
-    if not chronological.all():
-        i, j = np.argwhere(~chronological)[0]
-        raise GenerationFailure(f"rectangle pair ({mu_atoms[i]!r}, {nu_atoms[j]!r}) not chronological")
     if weights == "uniform":
         wa, wb = np.ones(n), np.ones(m)
     elif weights == "random":
         wa, wb = rng.random(n) + 0.1, rng.random(m) + 0.1
     else:
         raise ValueError(f"unknown weights mode {weights!r}")
-    return DiscreteMeasure(mu_atoms, wa / wa.sum()), DiscreteMeasure(nu_atoms, wb / wb.sum())
-
+    mu, nu = DiscreteMeasure(mu_atoms, wa / wa.sum()), DiscreteMeasure(nu_atoms, wb / wb.sum())
+    chronological = classify_array(mu._coords[:, None], nu._coords[None, :])[0]
+    if not chronological.all():
+        i, j = np.argwhere(~chronological)[0]
+        raise GenerationFailure(f"rectangle pair ({mu.atoms[i]!r}, {nu.atoms[j]!r}) not chronological")
+    return mu, nu

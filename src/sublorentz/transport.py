@@ -21,7 +21,7 @@ import numpy as np
 
 from .causality import tau_array
 from .errors import InfeasibleDuals, NoCausalCoupling, WeightError
-from .heisenberg import GroupPoint
+from .heisenberg import GroupPoint, _new
 from .simplex import gain_exponent, longest_path, solve_max_transport, tight_components
 
 SUPPORT_TOL = 1e-12
@@ -53,27 +53,29 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __init__(self, atoms, weights):
-        atoms = tuple(GroupPoint(*a) for a in atoms)
+        # an atom of the wrong arity raises GroupPoint's own TypeError
+        atoms = tuple(a if len(a) == 3 else GroupPoint(*a) for a in atoms)
         w = np.array(weights, dtype=float)  # a copy, frozen below once validated
         if w.ndim != 1 or len(atoms) != w.shape[0]:
             raise ValueError("atoms and weights must have matching length")
         # (n, 3) coordinates for cost_matrix; array.array, unlike numpy,
         # raises TypeError on a non-number such as the string "1.0"
         coords = np.array(array.array("d", itertools.chain.from_iterable(atoms))).reshape(-1, 3)
-        bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
-        if bad.size:
-            raise ValueError(f"non-finite atom {atoms[bad[0]]!r}")
+        if not np.isfinite(coords).all():
+            bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))[0]
+            raise ValueError(f"non-finite atom {GroupPoint(*atoms[bad])!r}")
         coords.flags.writeable = False
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise WeightError("non-finite weight")
-        if np.any(w < 0.0):
+        if (w < 0.0).any():
             raise WeightError("negative weight")
         with np.errstate(over="ignore"):  # an overflowing sum is reported below as inf
             total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
             raise WeightError(f"weights sum to {total!r}, expected 1")
         w.flags.writeable = False
-        self.atoms, self.weights, self._coords = atoms, w, coords
+        # the atoms are the checked coordinates as Python floats: the scalar kernels run fastest on them
+        self.atoms, self.weights, self._coords = tuple(_new(GroupPoint, a) for a in coords.tolist()), w, coords
 
     def __len__(self):
         return len(self.atoms)

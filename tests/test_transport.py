@@ -902,3 +902,39 @@ def test_solve_max_transport_rejects_mismatched_shapes_and_unbalanced_marginals(
         solve_max_transport(values, np.ones((2, 2), bool), [1.0], [0.5, 0.5])
     with pytest.raises(ValueError, match="must balance"):
         solve_max_transport(values, np.ones((2, 2), bool), [0.5, 0.5], [0.5, 0.6])
+
+
+@pytest.mark.parametrize("atoms, weights, error, message", [
+    ([(0.0, 0.0), (1.0, 0.0, 0.0)], [0.5, 0.5],
+     TypeError, "GroupPoint.__new__() missing 1 required positional argument: 'z'"),
+    ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 2.0)], [0.5, 0.5],
+     TypeError, "GroupPoint.__new__() takes 4 positional arguments but 5 were given"),
+    ([(0, 0, 0), ("1.0", 0, 0)], [0.5, 0.5], TypeError, "must be real number, not str"),
+    ([(0, 0, 0), (1.0, math.inf, 0), (math.nan, 0, 0)], [0.5, 0.25, 0.25],
+     ValueError, "non-finite atom GroupPoint(x=1.0, y=inf, z=0)"),
+    (np.array([[0.0, 0, 0], [0.1, np.nan, 0]]), [0.5, 0.5],
+     ValueError, "non-finite atom GroupPoint(x=np.float64(0.1), y=np.float64(nan), z=np.float64(0.0))"),
+    ([(0, 0, 0), (1, 0, 0)], [0.5, math.nan], WeightError, "non-finite weight"),
+    ([(0, 0, 0), (1, 0, 0)], [1.5, -0.5], WeightError, "negative weight"),
+    ([(0, 0, 0), (1, 0, 0)], [0.5, 0.25], WeightError, "weights sum to 0.75, expected 1"),
+    ([(0, 0, 0), (1, 0, 0)], [1e308, 1e308], WeightError, "weights sum to inf, expected 1"),
+    ([(0, 0, 0), (1, 0, 0)], [1.0], ValueError, "atoms and weights must have matching length"),
+    ([(0, 0, 0)], [[1.0]], ValueError, "atoms and weights must have matching length"),
+])
+def test_measure_error_types_and_messages(atoms, weights, error, message):
+    with pytest.raises(error) as err:
+        DiscreteMeasure(atoms, weights)
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("atoms", [
+    np.array([[0.0, 0, 0], [0.1, 0.05, 0]]),
+    [(0, 0, 0), (1, 0, 0)],
+    [GroupPoint(0.0, 0.0, 0.0), GroupPoint(0.1, 0.05, -0.0)],
+])
+def test_measure_atoms_are_python_float_group_points(atoms):
+    mu = DiscreteMeasure(atoms, [0.5, 0.5])
+    assert mu.atoms == tuple(map(tuple, np.asarray(atoms, float).tolist()))
+    for a in mu.atoms:
+        assert type(a) is GroupPoint and all(type(v) is float for v in a), a
+    assert np.array_equal(mu._coords, mu.atoms)
