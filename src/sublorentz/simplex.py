@@ -35,7 +35,7 @@ Design notes:
   whole numbers), so no argmin picks one over an eligible arc.  Once the M
   coefficients of all real nodes are equal (their sum says when), every
   real arc's M part is 0 and stays 0, so pricing compares the float parts
-  alone, with float prices and the imaginary parts of the potentials.
+  alone, with the imaginary parts of the prices and the potentials.
 * Anti-cycling uses strongly feasible trees (Cunningham 1976): every tree
   arc carrying zero flow points toward the root.  The initial star is
   strongly feasible because a sink with zero demand gets its artificial arc
@@ -157,33 +157,6 @@ def gain_exponent(top):
     return math.frexp(top)[1] - 1 if 0.0 < top < math.inf else 0
 
 
-def tight_components(n_nodes, tail, head, gain, starts):
-    """Potentials with pot[head] = pot[tail] + gain on a spanning forest of
-    the edges, 0 at each component's first node in starts (which must meet
-    every component).  Returns (pot, comp, k, loose): the potentials, labels
-    numbered in the order of starts, k labels, and the non-forest edge mask.
-    strengthen_duals contracts a plan's support with it; the LP reads its
-    own duals off its tree in preorder."""
-    adj = [[] for _ in range(n_nodes)]
-    for e, (t, h, g) in enumerate(zip(tail.tolist(), head.tolist(), gain.tolist())):
-        adj[t].append((h, g, e))
-        adj[h].append((t, -g, e))
-    pot, comp, via, k = [0.0] * n_nodes, [-1] * n_nodes, [-1] * n_nodes, 0
-    for top in starts:
-        if comp[top] < 0:
-            comp[top], stack = k, [top]
-            while stack:
-                u = stack.pop()
-                for w, g, e in adj[u]:
-                    if comp[w] < 0:
-                        pot[w], comp[w], via[w] = pot[u] + g, k, e
-                        stack.append(w)
-            k += 1
-    loose = np.ones(len(tail) + 1, dtype=bool)
-    loose[via] = False  # via is -1 at the starts: the spare last entry
-    return np.array(pot), np.array(comp), k, loose[:-1]
-
-
 def solve_max_transport(values, allowed, supplies, demands):
     """Solve the maximization transportation problem.
 
@@ -230,9 +203,9 @@ def solve_max_transport(values, allowed, supplies, demands):
         raise ValueError(f"gain {float(-cost[e])!r} on allowed arc ({src[e]}, {dst[e]}) is not finite")
     scale = gain_exponent(float(np.abs(cost).max(initial=0.0)))
     cost = np.ldexp(cost, -scale)
-    price = cost.copy()  # +inf on basic arcs, so that no argmin picks one
-    # the same prices as M part + i * float part, like the potentials pi;
-    # set parts through .real and .imag, since 1j * inf is nan + inf j
+    # arc prices as M part + i * float part, like the potentials pi, with
+    # +inf float part on basic arcs, so that no argmin picks one; set parts
+    # through .real and .imag, since 1j * inf is nan + inf j
     price_mf = np.zeros(n_real, dtype=complex)
     price_mf_f = price_mf.imag
     price_mf_f[:] = cost
@@ -257,11 +230,11 @@ def solve_max_transport(values, allowed, supplies, demands):
             pi_m[n + j] = 1.0
             m_sum += 2
     pf, pm = memoryview(pi_f), memoryview(pi_m)  # Python floats, one node at a time
-    price_v, price_mf_v, arc_cost = memoryview(price), memoryview(price_mf_f), cost.tolist()
+    price_v, arc_cost = memoryview(price_mf_f), cost.tolist()
 
     block = math.isqrt(n_real - 1) + 1 if n_real else 1
     blocks = [
-        (lo, tails[lo:lo + block], heads[lo:lo + block], price_mf[lo:lo + block], price[lo:lo + block])
+        (lo, tails[lo:lo + block], heads[lo:lo + block], price_mf[lo:lo + block], price_mf_f[lo:lo + block])
         for lo in range(0, n_real, block)
     ]
     n_blocks, next_block = len(blocks), 0
@@ -331,9 +304,9 @@ def solve_max_transport(values, allowed, supplies, demands):
             degenerate += 1
 
         leaving = pred[path[i]]
-        price_v[entering] = price_mf_v[entering] = math.inf
+        price_v[entering] = math.inf
         if leaving < n_real:
-            price_v[leaving] = price_mf_v[leaving] = arc_cost[leaving]
+            price_v[leaving] = arc_cost[leaving]
 
         # Re-hang the subtree that the leaving arc cuts off below u_out from
         # v_in, reversing the stem path[:i + 1] from the entering arc's end

@@ -96,18 +96,13 @@ def write_plan_svg(path, mu, nu, support_masses, title="causal transport plan"):
     for i, j, m in support_masses:
         a, b = mu.atoms[i], nu.atoms[j]
         _arrow(parts, frame, (a.x, a.y), (b.x, b.y), 0.8 + 2.4 * m / mmax)
-    for a, w in zip(mu.atoms, mu.weights):
-        r = 3.0 + 4.0 * math.sqrt(float(w))
-        parts.append(
-            f'<circle cx="{frame.px(a.x):.2f}" cy="{frame.py(a.y):.2f}" r="{r:.2f}" '
-            f'fill="#3465a4" fill-opacity="0.85"/>\n'
-        )
-    for b, w in zip(nu.atoms, nu.weights):
-        r = 3.0 + 4.0 * math.sqrt(float(w))
-        parts.append(
-            f'<circle cx="{frame.px(b.x):.2f}" cy="{frame.py(b.y):.2f}" r="{r:.2f}" '
-            f'fill="#a40000" fill-opacity="0.85"/>\n'
-        )
+    for measure, colour in ((mu, "#3465a4"), (nu, "#a40000")):
+        for a, w in zip(measure.atoms, measure.weights):
+            r = 3.0 + 4.0 * math.sqrt(float(w))
+            parts.append(
+                f'<circle cx="{frame.px(a.x):.2f}" cy="{frame.py(a.y):.2f}" r="{r:.2f}" '
+                f'fill="{colour}" fill-opacity="0.85"/>\n'
+            )
     parts.append("</svg>\n")
     with open(path, "w") as fh:
         fh.write("".join(parts))
@@ -133,13 +128,8 @@ def write_trace_svg(path, rows):
         parts.append(
             f'<polyline points="{poly}" fill="none" stroke="#3465a4" stroke-width="1.6"/>\n'
         )
-        p0, p1 = pts[0], pts[-1]
-        parts.append(
-            f'<circle cx="{frame.px(p0.x):.2f}" cy="{frame.py(get(p0)):.2f}" r="4" fill="#3465a4"/>\n'
-        )
-        parts.append(
-            f'<circle cx="{frame.px(p1.x):.2f}" cy="{frame.py(get(p1)):.2f}" r="4" fill="#a40000"/>\n'
-        )
+        for p, colour in ((pts[0], "#3465a4"), (pts[-1], "#a40000")):
+            parts.append(f'<circle cx="{frame.px(p.x):.2f}" cy="{frame.py(get(p)):.2f}" r="4" fill="{colour}"/>\n')
         parts.append("</g>\n")
     parts.append("</svg>\n")
     with open(path, "w") as fh:

@@ -22,7 +22,7 @@ import numpy as np
 from .causality import tau_array
 from .errors import InfeasibleDuals, NoCausalCoupling, WeightError
 from .heisenberg import GroupPoint, _new
-from .simplex import gain_exponent, longest_path, solve_max_transport, tight_components
+from .simplex import gain_exponent, longest_path, solve_max_transport
 
 SUPPORT_TOL = 1e-12
 
@@ -147,7 +147,7 @@ def strengthen_duals(plan: TransportPlan, cost: CostMatrix) -> DualPotentials:
     margin the face allows.
 
     The support fixes the potentials of each of its k components up to one
-    offset (tight_components).  Each off-support pair is an edge between the
+    offset (_tight_forest).  Each off-support pair is an edge between the
     offsets of its two components; one inside a component is a self-loop
     that caps the margin at its slack.  A support pair closing a cycle is a
     self-loop weighing the cycle's absolute alternating gain sum, with no
@@ -187,7 +187,7 @@ def _contracted_support(plan: TransportPlan, cost: CostMatrix):
     fi, fj = np.nonzero(cost.feasible & ~on)
     scale = gain_exponent(float(np.abs(cost.values[cost.feasible]).max(initial=0.0)))
     gain = np.ldexp(cost.values[si, sj], -scale)
-    pot, comp, k, loose = tight_components(n + m, si, n + sj, gain, range(n + m))
+    pot, comp, k, loose = _tight_forest(n + m, si, n + sj, gain)
     np.minimum.at(low := np.full(k, np.inf), comp, pot)
     pot -= low[comp]  # least 0 on each component, so the offsets are >= 0
     i, j = np.concatenate([si[loose], fi]), np.concatenate([sj[loose], fj])
@@ -195,6 +195,31 @@ def _contracted_support(plan: TransportPlan, cost: CostMatrix):
     weight = np.ldexp(cost.values[i, j], -scale) - (pot[n + j] - pot[i])
     weight[~off] = np.abs(weight[~off])
     return scale, pot, comp, k, tail, head, weight, off
+
+
+def _tight_forest(n_nodes, tail, head, gain):
+    """Potentials with pot[head] = pot[tail] + gain on a spanning forest of
+    the edges, 0 at each component's least node.  Returns (pot, comp, k,
+    loose): the potentials, labels numbered in the order of the least
+    nodes, k labels, and the non-forest edge mask."""
+    adj = [[] for _ in range(n_nodes)]
+    for e, (t, h, g) in enumerate(zip(tail.tolist(), head.tolist(), gain.tolist())):
+        adj[t].append((h, g, e))
+        adj[h].append((t, -g, e))
+    pot, comp, via, k = [0.0] * n_nodes, [-1] * n_nodes, [-1] * n_nodes, 0
+    for top in range(n_nodes):
+        if comp[top] < 0:
+            comp[top], stack = k, [top]
+            while stack:
+                u = stack.pop()
+                for w, g, e in adj[u]:
+                    if comp[w] < 0:
+                        pot[w], comp[w], via[w] = pot[u] + g, k, e
+                        stack.append(w)
+            k += 1
+    loose = np.ones(len(tail) + 1, dtype=bool)
+    loose[via] = False  # via is -1 at the least nodes: the spare last entry
+    return np.array(pot), np.array(comp), k, loose[:-1]
 
 
 def lorentz_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams) -> float:

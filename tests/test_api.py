@@ -309,6 +309,37 @@ def test_simplex_tree_keeps_no_child_lists():
 
 
 
+def test_simplex_keeps_one_price_array():
+    # the arc prices live in one complex array, M part + i * float part: the
+    # float phase prices on views of its imaginary part, and a pivot stores
+    # each price change through one memoryview, with no float copy kept
+    viewed, copies = [], 0
+    for node in _body_nodes("simplex", "solve_max_transport"):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "memoryview":
+            viewed.append(ast.unparse(node.args[0]))
+        copies += isinstance(node, ast.Attribute) and node.attr == "copy"
+    assert ([v for v in viewed if "price" in v], copies) == (["price_mf_f"], 0)
+
+
+def test_verify_suites_build_results_through_one_rule():
+    # every SuiteResult in verify.py comes from _result, which holds each
+    # check's value and bound, except right-translation's agreement count
+    # and partition-length's early return
+    path = ROOT / "src" / "sublorentz" / "verify.py"
+    built = [
+        (func.name, ast.unparse(node.args[0]) if node.args else "")
+        for func in _tree(path).body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SuiteResult"
+    ]
+    assert built == [
+        ("_result", "name"),
+        ("suite_right_translation", "'right-translation'"),
+        ("suite_partition_length", "'partition-length'"),
+    ]
+
+
 def test_one_gain_scale_rule():
     # simplex.gain_exponent is the one place that picks the power of two by
     # which the LP layer scales its gains: math.frexp appears nowhere else,

@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import hashlib
 import math
 import os
 import subprocess
@@ -485,6 +486,28 @@ def test_brenier_writes_svg(fixture_files, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == f"wrote {svg}"
     text = svg.read_text()
     assert text.startswith("<svg") and "Brenier map" in text and "<line" in text
+
+
+# sha256 of each SVG the CLI writes on the fixture files, so a refactor of
+# svg.py keeps every byte
+SVG_DIGESTS = {
+    "solve": "4bfd499e49e40cc1baed9196bfe592c11a27a084993275dd820f1083f8e122c3",
+    "brenier": "54be9848f743f75248bf78242a9022c659cd26ca7c952a1eadf0898ab780e361",
+    "geodesic": "0a3cd1ae209dd855aaede9e1554acb1f459f5de4b055ff019824b5bc9f62e48f",
+}
+
+
+@pytest.mark.parametrize("command", SVG_DIGESTS)
+def test_svg_bytes_are_frozen(command, fixture_files, tmp_path, capsys):
+    mu, nu = (str(f) for f in fixture_files)
+    svg = tmp_path / "plot.svg"
+    argv = {
+        "solve": ["solve", "--mu", mu, "--nu", nu],
+        "brenier": ["brenier", "--mu", mu, "--nu", nu, "--out", str(tmp_path / "b")],
+        "geodesic": ["geodesic", "--cov", "-1.2,0.3,0.5", "--t", "2", "--n", "17"],
+    }[command]
+    assert main([*argv, "--svg", str(svg)]) == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == SVG_DIGESTS[command]
 
 
 def test_non_numeric_time_exits_2(fixture_files, capsys):

@@ -23,6 +23,7 @@ from sublorentz.transport import (
     CostParams,
     DiscreteMeasure,
     TransportPlan,
+    _tight_forest,
     brute_force_plan,
     check_cyclical_monotonicity,
     cost_matrix,
@@ -241,6 +242,17 @@ def test_strengthen_duals_keeps_a_support_cycle_of_zero_sum_tight():
     plan, cm = _full_support(values)
     duals = strengthen_duals(plan, cm)
     np.testing.assert_array_equal(duals.psi[None, :] - duals.phi[:, None], values)
+
+
+def test_tight_forest_on_two_components_and_one_loose_edge():
+    # edges 0->1, 0->2, 1->2 and 4->3: the search from node 0 reaches 1 and
+    # 2 through the first two, so 1->2 is loose; 3, the least node of the
+    # other component, sits at 0 although the edge into it starts at 4
+    tail, head = np.array([0, 0, 1, 4]), np.array([1, 2, 2, 3])
+    pot, comp, k, loose = _tight_forest(5, tail, head, np.array([1.5, 0.5, -0.25, 2.0]))
+    assert pot.tolist() == [0.0, 1.5, 0.5, 0.0, -2.0]
+    assert comp.tolist() == [0, 0, 0, 1, 1] and k == 2
+    assert loose.tolist() == [False, False, True, False]
 
 
 def test_strengthen_duals_rejects_a_support_cycle_of_nonzero_sum():

@@ -9,9 +9,15 @@ import numpy as np
 import pytest
 
 from sublorentz import causality, verify
-from sublorentz.brenier import MapSample, interpolate, potential_from_duals, transport_map_from_duals
+from sublorentz.brenier import (
+    MapSample,
+    interpolate,
+    monge_ampere_residual,
+    potential_from_duals,
+    transport_map_from_duals,
+)
 from sublorentz.causality import CausalRelation, classify, tau, tau_partition_length
-from sublorentz.geodesics import GeodesicArc, exp_map, flow
+from sublorentz.geodesics import GeodesicArc, exp_map, flow, log_map
 from sublorentz.heisenberg import IDENTITY, FrameCovector, GroupPoint, energy, mul
 from sublorentz.measures_io import sample_chronological_pair
 from sublorentz.transport import (
@@ -94,7 +100,7 @@ def test_batched_draws_are_bit_identical_to_uniform_calls():
         assert np.array_equal(np.array(verify._points(u, (-1.0, -1.0, -0.5), (3.0, 1.0, 0.5))), looped)
 
 
-# The six suites as they were written with scalar draws.
+# The seven suites as they were written with scalar draws.
 
 
 def _flow_vs_ode(seed):
@@ -219,6 +225,40 @@ def _partition_length(seed):
     )
 
 
+def _monge_ampere(seed):
+    rng = np.random.default_rng(seed)
+    params = CostParams(0.5)
+    q0 = GroupPoint(1.0, 0.5, 0.0)
+    t0 = tau(IDENTITY, q0)
+    scale = t0 ** (params.p - 2.0)
+    lam = log_map(IDENTITY, q0)
+
+    def grad_translation(q):
+        return FrameCovector(-scale * lam.hX, -scale * lam.hY, -scale * lam.hZ)
+
+    def rho0(q):
+        return math.exp(-(q.x * q.x + q.y * q.y + q.z * q.z))
+
+    t = 0.5
+    shift = GroupPoint(-t * q0.x, -t * q0.y, 0.0)
+
+    def rhot(q):
+        return rho0(mul(q, shift))
+
+    sources = [
+        GroupPoint(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3))
+        for _ in range(12)
+    ]
+    report = monge_ampere_residual(grad_translation, sources, t, rho0, rhot, params)
+    worst_det = max(abs(det - 1.0) for _, _, det, _ in report.points)
+    ok = report.max_residual <= 1e-6 and worst_det <= 1e-6
+    return SuiteResult(
+        "monge-ampere",
+        ok,
+        f"residual {report.max_residual:.3e}; |det - 1| {worst_det:.3e}",
+    )
+
+
 SUITES = [
     (verify.suite_flow_vs_ode, _flow_vs_ode),
     (verify.suite_tau_consistency, _tau_consistency),
@@ -226,6 +266,7 @@ SUITES = [
     (verify.suite_planar_bound, _planar_bound),
     (verify.suite_interpolation, _interpolation),
     (verify.suite_partition_length, _partition_length),
+    (verify.suite_monge_ampere, _monge_ampere),
 ]
 
 
@@ -260,6 +301,16 @@ def test_batched_suites_match_scalar_draw_loops(seed, monkeypatch):
         calls.clear()
         assert result == looped(seed)
         assert batched_calls == calls
+
+
+def test_result_passes_at_its_bound_only():
+    # a value equal to its bound passes; one ulp above it, or nan, fails
+    bound = 1e-9
+    assert verify._result("s", [("a", bound, bound)]) == SuiteResult("s", True, "a 1.000e-09")
+    assert not verify._result("s", [("a", math.nextafter(bound, math.inf), bound)]).passed
+    assert not verify._result("s", [("a", 0.0, bound), ("b", math.nan, bound)]).passed
+    result = verify._result("s", [("gap", 0.0, 1e-9), ("|det - 1|", 2.5e-7, 1e-6)], " over 5 points")
+    assert result == SuiteResult("s", True, "gap 0.000e+00; |det - 1| 2.500e-07 over 5 points")
 
 
 @pytest.mark.parametrize("seed, deviation", [
