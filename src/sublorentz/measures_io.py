@@ -47,29 +47,33 @@ def load_measure(path) -> DiscreteMeasure:
     atoms = []
     weights = []
     seen_header = False
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not seen_header:
-                if line != HEADER:
-                    raise ParseError(f"line {lineno}: expected header {HEADER!r}, got {line!r}")
-                seen_header = True
-                continue
-            fields = line.split()
-            if fields[0] != "atom":
-                raise ParseError(f"line {lineno}: expected 'atom', got {fields[0]!r}")
-            if len(fields) != 5:
-                raise ParseError(f"line {lineno}: expected 4 numbers after 'atom', got {len(fields) - 1}")
-            try:
-                x, y, z, w = (float(f) for f in fields[1:])
-            except ValueError as err:
-                raise ParseError(f"line {lineno}: {err}") from None
-            if not all(math.isfinite(v) for v in (x, y, z, w)):
-                raise ParseError(f"line {lineno}: non-finite value")
-            atoms.append(GroupPoint(x, y, z))
-            weights.append(w)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not seen_header:
+            if line != HEADER:
+                raise ParseError(f"line {lineno}: expected header {HEADER!r}, got {line!r}")
+            seen_header = True
+            continue
+        fields = line.split()
+        if fields[0] != "atom":
+            raise ParseError(f"line {lineno}: expected 'atom', got {fields[0]!r}")
+        if len(fields) != 5:
+            raise ParseError(f"line {lineno}: expected 4 numbers after 'atom', got {len(fields) - 1}")
+        try:
+            x, y, z, w = (float(f) for f in fields[1:])
+        except ValueError as err:
+            raise ParseError(f"line {lineno}: {err}") from None
+        if not all(math.isfinite(v) for v in (x, y, z, w)):
+            raise ParseError(f"line {lineno}: non-finite value")
+        atoms.append(GroupPoint(x, y, z))
+        weights.append(w)
     if not seen_header:
         raise ParseError("empty file: missing header")
     if not atoms:

@@ -111,33 +111,23 @@ def right_translation_verdict(
 
 
 def seeded_verdict_instance(seed: int):
-    """Deterministic (mu, q0) pair for exercising right_translation_verdict.
+    """Deterministic (mu, q0, verdict): a measure, a right translation and its
+    right_translation_verdict at p = 0.5, the one LP solved for the triple.
 
     Even seeds draw a planar translation (z0 = 0, x0 > |y0|), which is
     optimal for every source measure, and any atom cluster will do.  Odd
     seeds draw a twisted translation (z0 != 0); a finite cluster can still
     make the translation optimal, so up to 64 candidates are drawn until
-    some rearrangement strictly beats it by more than 1e-6 at p = 0.5.
-    Either way the verdict at threshold 1e-8 is decidable with a wide margin.
+    some rearrangement strictly beats it by more than 1e-6, or else
+    GenerationFailure names the seed.  Either way the verdict at threshold
+    1e-8 is decidable with a wide margin.
     """
-    return _seeded_verdict(seed)[:2]
-
-
-def _seeded_verdict(seed: int):
-    """seeded_verdict_instance(seed) plus the verdict that accepted it (None for even seeds)."""
     rng = np.random.default_rng(seed)
 
     def draw_cluster(spread: float) -> DiscreteMeasure:
         n = int(rng.integers(4, 9))
-        atoms = [
-            GroupPoint(
-                rng.uniform(-spread, spread),
-                rng.uniform(-spread, spread),
-                rng.uniform(-spread * spread / 2.0, spread * spread / 2.0),
-            )
-            for _ in range(n)
-        ]
-        return DiscreteMeasure(tuple(atoms), np.full(n, 1.0 / n))
+        h = np.array((spread, spread, spread * spread / 2.0))  # -h + (h - -h) * u is uniform(-h, h) bit for bit
+        return DiscreteMeasure((2.0 * h * rng.random((n, 3)) - h).tolist(), np.full(n, 1.0 / n))
 
     def draw_base(planar: bool) -> GroupPoint:
         x0 = rng.uniform(1.2, 2.2)
@@ -149,7 +139,8 @@ def _seeded_verdict(seed: int):
         return GroupPoint(x0, y0, z0)
 
     if seed % 2 == 0:
-        return draw_cluster(0.5), draw_base(planar=True), None
+        mu, q0 = draw_cluster(0.5), draw_base(planar=True)
+        return mu, q0, right_translation_verdict(mu, q0, CostParams(0.5))
     for _ in range(64):
         mu = draw_cluster(rng.uniform(0.25, 0.45))
         q0 = draw_base(planar=False)

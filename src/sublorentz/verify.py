@@ -34,7 +34,7 @@ from .heisenberg import (
     sup_distance,
 )
 from .measures_io import sample_chronological_pair, sample_diamond
-from .minkowski import _seeded_verdict, right_translation_verdict, solve_minkowski
+from .minkowski import seeded_verdict_instance, solve_minkowski
 from .transport import (
     CostParams,
     DiscreteMeasure,
@@ -294,13 +294,8 @@ def suite_interpolation(seed: int) -> SuiteResult:
 
 def suite_right_translation(seed: int) -> SuiteResult:
     instances = 20
-    agreed = 0
-    for k in range(instances):
-        mu, q0, verdict = _seeded_verdict(seed + k)  # odd seeds: reuse the accepting LP
-        agreed += (verdict or right_translation_verdict(mu, q0, CostParams(0.5))).agrees
-    return SuiteResult(
-        "right-translation", agreed == instances, f"predicate/LP agreement {agreed}/{instances}"
-    )
+    agreed = sum(seeded_verdict_instance(seed + k)[2].agrees for k in range(instances))
+    return _result("right-translation", [("disagreements", instances - agreed, 0)], f" of {instances} instances")
 
 
 def suite_monge_ampere(seed: int) -> SuiteResult:
@@ -355,14 +350,14 @@ def suite_minkowski_lift(seed: int) -> SuiteResult:
 
 def suite_partition_length(seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    rise, worst = -math.inf, 0.0
     for cov in _timelike_covectors(rng.random((5, 3))):
         arc = GeodesicArc(IDENTITY, cov, 1.0)
         sums = [tau_partition_length([arc.point(j / k) for j in range(k + 1)]) for k in (2, 8, 64, 1024)]
-        if any(fine > coarse + 1e-12 for coarse, fine in zip(sums, sums[1:])):
-            return SuiteResult("partition-length", False, "partition sums increased")
+        rise = max(rise, *(fine - coarse for coarse, fine in zip(sums, sums[1:])))
         worst = max(worst, abs(sums[-1] - math.sqrt(2.0 * energy(cov))))
-    return _result("partition-length", [("finest-partition length error", worst, 1e-6)])
+    checks = [("largest refinement rise", rise, 1e-12), ("finest-partition length error", worst, 1e-6)]
+    return _result("partition-length", checks)
 
 
 def run_suites(seed: int):

@@ -282,6 +282,22 @@ def test_solve_bad_header_exits_2(fixture_files, tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    "solve --mu BAD --nu NU",
+    "brenier --mu BAD --nu NU --t 0,1 --out OUT",
+    "interpolate --mu BAD --nu NU --t 0,1 --out OUT",
+    "right-translation --mu BAD --q0 1.5,0.2,0",
+])
+def test_measure_file_not_utf8_exits_2(command, fixture_files, tmp_path, capsys):
+    # a byte that is not UTF-8 is a parse error: one line, no traceback
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(HEADER.encode() + b"\natom 0 0 0 1\xff\n")
+    paths = {"BAD": str(bad), "NU": str(fixture_files[1]), "OUT": str(tmp_path / "out")}
+    assert main([paths.get(word, word) for word in command.split()]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: not UTF-8 text\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "mu.txt", "nu.txt"]
+
+
 def test_solve_writes_svg(fixture_files, tmp_path):
     mu, nu = fixture_files
     svg = tmp_path / "plan.svg"
@@ -390,10 +406,10 @@ PASS  planar-bound                worst excess 0.000e+00 over 2000 pairs
 PASS  lp-duality                  gap 8.882e-16; monotonicity violation 3.553e-15; brute-force diff 0.000e+00
 PASS  brenier-roundtrip           map-vs-plan 4.996e-15; forward/backward 1.377e-14
 PASS  displacement-interpolation  pointwise 1.221e-15; measure-level 2.220e-16
-PASS  right-translation           predicate/LP agreement 20/20
+PASS  right-translation           disagreements 0.000e+00 of 20 instances
 PASS  monge-ampere                residual 5.724e-12; |det - 1| 7.164e-12
 PASS  minkowski-lift              planar-vs-native value diff 0.000e+00
-PASS  partition-length            finest-partition length error 2.442e-15
+PASS  partition-length            largest refinement rise 1.998e-15; finest-partition length error 2.442e-15
 overall PASS
 """
 
@@ -406,10 +422,10 @@ PASS  planar-bound                worst excess 0.000e+00 over 2000 pairs
 PASS  lp-duality                  gap 8.882e-16; monotonicity violation 1.776e-15; brute-force diff 0.000e+00
 PASS  brenier-roundtrip           map-vs-plan 4.552e-15; forward/backward 3.220e-15
 PASS  displacement-interpolation  pointwise 1.110e-15; measure-level 1.110e-16
-PASS  right-translation           predicate/LP agreement 20/20
+PASS  right-translation           disagreements 0.000e+00 of 20 instances
 PASS  monge-ampere                residual 7.553e-12; |det - 1| 8.551e-12
 PASS  minkowski-lift              planar-vs-native value diff 0.000e+00
-PASS  partition-length            finest-partition length error 9.992e-16
+PASS  partition-length            largest refinement rise 6.661e-16; finest-partition length error 9.992e-16
 overall PASS
 """
 

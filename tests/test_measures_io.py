@@ -10,6 +10,7 @@ import pytest
 
 from sublorentz.causality import CausalRelation, classify
 from sublorentz.errors import GenerationFailure, ParseError, WeightError
+from sublorentz import measures_io
 from sublorentz.heisenberg import GroupPoint, mul
 from sublorentz.measures_io import (
     DIAMOND_BLOCK,
@@ -54,6 +55,23 @@ def test_load_skips_comments_and_blanks(tmp_path):
     )
     mu = load_measure(path)
     assert len(mu.atoms) == 2
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_load_reads_utf8_text_with_any_newline(tmp_path, newline):
+    lines = [HEADER, "# \u03bc, the source", "atom 0 0 0 0.5", "atom 1 0 0 0.5", ""]
+    path = tmp_path / "m.txt"
+    path.write_bytes(newline.join(line.encode("utf-8") for line in lines))
+    mu = load_measure(path)
+    assert mu.atoms == (GroupPoint(0.0, 0.0, 0.0), GroupPoint(1.0, 0.0, 0.0))
+
+
+def test_load_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(f"{HEADER}\natom 0 0 0 0.5\n# caf\xe9\natom 1 0 0 0.5\n".encode("latin-1"))
+    with pytest.raises(ParseError) as err:
+        load_measure(path)
+    assert str(err.value) == f"{path}: not UTF-8 text"
 
 
 def test_load_renormalizes_small_drift(tmp_path):
@@ -171,6 +189,23 @@ def test_sample_chronological_pair_rectangle():
     for a in mu.atoms:
         for b in nu.atoms:
             assert classify(a, b) is CausalRelation.CHRONOLOGICAL
+
+
+def test_sample_chronological_pair_names_a_pair_off_the_rectangle(monkeypatch):
+    # transitivity makes the rectangle check pass, so a classify_array that
+    # drops one pair of the rectangle stands in for a fault in the sampler
+    mu, nu = sample_chronological_pair(3, 4, seed=8)
+
+    def dropping(a, b, classify_array=measures_io.classify_array):
+        chronological, causal = classify_array(a, b)
+        if chronological.ndim == 2:
+            chronological[1, 2] = False
+        return chronological, causal
+
+    monkeypatch.setattr(measures_io, "classify_array", dropping)
+    with pytest.raises(GenerationFailure) as err:
+        sample_chronological_pair(3, 4, seed=8)
+    assert str(err.value) == f"rectangle pair ({mu.atoms[1]!r}, {nu.atoms[2]!r}) not chronological"
 
 
 # sample_diamond draws each chunk in blocks of DIAMOND_BLOCK rows of

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from sublorentz import minkowski
 from sublorentz.causality import PlanarPoint, minkowski_tau, tau
-from sublorentz.errors import NoCausalCoupling
+from sublorentz.errors import GenerationFailure, NoCausalCoupling
 from sublorentz.heisenberg import IDENTITY, GroupPoint, mul
 from sublorentz.minkowski import (
-    _seeded_verdict,
+    RightTranslationVerdict,
     planar_cost_matrix,
     project_measure,
     right_translation_verdict,
@@ -129,8 +130,8 @@ def test_right_translation_rejects_spacelike_shift():
 
 
 def test_seeded_verdict_instances_are_deterministic():
-    mu_a, q_a = seeded_verdict_instance(4)
-    mu_b, q_b = seeded_verdict_instance(4)
+    mu_a, q_a, _ = seeded_verdict_instance(4)
+    mu_b, q_b, _ = seeded_verdict_instance(4)
     assert q_a == q_b
     assert all(x == y for x, y in zip(mu_a.atoms, mu_b.atoms))
     assert q_a.z == 0.0  # even seeds draw planar shifts
@@ -138,7 +139,7 @@ def test_seeded_verdict_instances_are_deterministic():
 
 def test_seeded_verdict_agreement_sample():
     for seed in range(10):
-        mu, q0 = seeded_verdict_instance(seed)
+        mu, q0, _ = seeded_verdict_instance(seed)
         verdict = right_translation_verdict(mu, q0, P)
         assert verdict.agrees
         if seed % 2 == 1:
@@ -148,12 +149,64 @@ def test_seeded_verdict_agreement_sample():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_seeded_verdict_is_the_verdict_of_its_instance(seed):
-    # verify's right-translation suite reuses the verdict that accepted an
-    # odd seed's instance in place of solving its LP again
-    mu, q0, verdict = _seeded_verdict(seed)
-    fresh_mu, fresh_q0 = seeded_verdict_instance(seed)
-    assert q0 == fresh_q0 and mu.atoms == fresh_mu.atoms
-    assert verdict == (right_translation_verdict(mu, q0, P) if seed % 2 else None)
+    # verify's right-translation suite counts these verdicts instead of
+    # solving each instance's LP again, for even seeds and odd alike
+    mu, q0, verdict = seeded_verdict_instance(seed)
+    assert verdict == right_translation_verdict(mu, q0, P)
+    assert (q0.z == 0.0) == (seed % 2 == 0)
+
+
+def _per_number_draws(seed, tries):
+    """The first tries candidates of seeded_verdict_instance(seed), drawn with
+    one Generator.uniform call per number."""
+    rng = np.random.default_rng(seed)
+    candidates = []
+    for _ in range(tries):
+        spread = 0.5 if seed % 2 == 0 else rng.uniform(0.25, 0.45)
+        n = int(rng.integers(4, 9))
+        half_z = spread * spread / 2.0
+        atoms = tuple(
+            GroupPoint(rng.uniform(-spread, spread), rng.uniform(-spread, spread), rng.uniform(-half_z, half_z))
+            for _ in range(n)
+        )
+        x0 = rng.uniform(1.2, 2.2)
+        y0 = rng.uniform(-0.3, 0.3) * x0
+        z0 = 0.0
+        if seed % 2:
+            z0 = rng.uniform(0.2, 0.6) * 0.25 * (x0 * x0 - y0 * y0) * (1.0 if rng.random() < 0.5 else -1.0)
+        candidates.append((atoms, GroupPoint(x0, y0, z0)))
+    return candidates
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_clusters_are_per_number_uniform_draws(seed, monkeypatch):
+    # each cluster is one block of Generator.random mapped onto [-h, h): the
+    # same doubles, in the same order, as one uniform call per coordinate
+    tried = []
+
+    def recording(mu, q0, params, verdict=minkowski.right_translation_verdict):
+        tried.append((mu.atoms, q0))
+        return verdict(mu, q0, params)
+
+    monkeypatch.setattr(minkowski, "right_translation_verdict", recording)
+    seeded_verdict_instance(seed)
+    assert tried == _per_number_draws(seed, len(tried))
+
+
+def test_seeded_verdict_instance_names_the_seed_it_cannot_draw(monkeypatch):
+    # an odd seed draws up to 64 twisted instances and keeps the first whose
+    # translation is beaten by more than 1e-6; a gap of exactly 1e-6 is not
+    tried = []
+
+    def never_beaten(mu, q0, params):
+        tried.append(q0)
+        return RightTranslationVerdict(True, False, 1.0, 1.0 + 1e-6, 1e-6)
+
+    monkeypatch.setattr(minkowski, "right_translation_verdict", never_beaten)
+    with pytest.raises(GenerationFailure) as err:
+        seeded_verdict_instance(7)
+    assert str(err.value) == "seed 7: no cluster with improvement above 1e-6 in 64 tries"
+    assert len(tried) == 64 and all(q0.z != 0.0 for q0 in tried)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -161,7 +214,7 @@ def test_verdicts_agree_under_dilations(seed):
     # delta_lam with lam = 4^j multiplies every gain, and so the gap, by
     # 2^j exactly; gap_tol is relative to the binade of the values, so a
     # twisted translation's small gap at j < 0 still reads as beaten
-    mu0, q0 = seeded_verdict_instance(seed)
+    mu0, q0, _ = seeded_verdict_instance(seed)
     for j in range(-40, 41, 10):
         lam = 4.0**j
 

@@ -1,7 +1,9 @@
 """The verify layer's batched oracles give the same bits as their loops: the
 RK4 oracle steps all flows as one array, and the suites draw their random
-numbers in blocks instead of one Generator.uniform call per number."""
+numbers in blocks instead of one Generator.uniform call per number.  A suite
+turns to FAIL when a check goes past its bound."""
 
+import itertools
 import math
 import sys
 
@@ -202,26 +204,25 @@ def _interpolation(seed):
 
 def _partition_length(seed):
     rng = np.random.default_rng(seed)
+    rise = -math.inf
     worst = 0.0
     for _ in range(5):
         cov = _timelike_covector(rng)
         arc = GeodesicArc(IDENTITY, cov, 1.0)
         length = math.sqrt(2.0 * energy(cov))
         prev = math.inf
-        monotone = True
         final = 0.0
         for k in (2, 8, 64, 1024):
             pts = [arc.point(j / k) for j in range(k + 1)]
             total = tau_partition_length(pts)
-            if total > prev + 1e-12:
-                monotone = False
+            rise = max(rise, total - prev)
             prev = total
             final = total
         worst = max(worst, abs(final - length))
-        if not monotone:
-            return SuiteResult("partition-length", False, "partition sums increased")
     return SuiteResult(
-        "partition-length", worst <= 1e-6, f"finest-partition length error {worst:.3e}"
+        "partition-length",
+        rise <= 1e-12 and worst <= 1e-6,
+        f"largest refinement rise {rise:.3e}; finest-partition length error {worst:.3e}",
     )
 
 
@@ -319,3 +320,36 @@ def test_result_passes_at_its_bound_only():
 def test_exp_log_roundtrip_detail_is_frozen(seed, deviation):
     result = verify.suite_exp_log_roundtrip(seed)
     assert result == SuiteResult("exp-log-roundtrip", True, f"sup deviation {deviation} over 2000 points")
+
+
+def test_right_translation_fails_on_one_disagreeing_verdict(monkeypatch):
+    # the suite counts the generator's verdicts; one that disagrees with its
+    # predicate turns the line to FAIL
+    drawn = []
+
+    def one_disagrees(seed, draw=verify.seeded_verdict_instance):
+        mu, q0, verdict = draw(seed)
+        drawn.append(seed)
+        return mu, q0, verdict._replace(optimal=not verdict.optimal) if seed == 13 else verdict
+
+    monkeypatch.setattr(verify, "seeded_verdict_instance", one_disagrees)
+    result = verify.suite_right_translation(3)
+    assert result == SuiteResult("right-translation", False, "disagreements 1.000e+00 of 20 instances")
+    assert drawn == list(range(3, 23))
+
+
+def test_partition_length_fails_on_a_refinement_rise(monkeypatch):
+    # one refined sum raised by 3e-12 rises above its coarser sum by more than
+    # the 1e-12 allowed; the finest sums, and so the length error, stay put
+    passing = verify.suite_partition_length(0)
+    calls = itertools.count()
+
+    def raised(points, length=verify.tau_partition_length):
+        return length(points) + (3e-12 if next(calls) == 6 else 0.0)  # the second arc's 64-piece sum
+
+    monkeypatch.setattr(verify, "tau_partition_length", raised)
+    result = verify.suite_partition_length(0)
+    rise, error = result.detail.split("; ")
+    assert (result.passed, error) == (False, passing.detail.split("; ")[1])
+    assert float(rise.removeprefix("largest refinement rise ")) == pytest.approx(3e-12, abs=1e-14)
+    assert next(calls) == 20
