@@ -43,15 +43,23 @@ def save_measure(measure: DiscreteMeasure, path) -> None:
 
 
 def load_measure(path) -> DiscreteMeasure:
-    """Parse a measure file; weights off by at most 1e-6 are renormalized."""
+    """Parse a measure file; weights off by at most 1e-6 are renormalized.
+    A ParseError or WeightError names the file, then what is wrong with it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError:
+                raise ParseError("not UTF-8 text") from None
+        return _parse_measure(lines)
+    except (ParseError, WeightError) as err:
+        raise type(err)(f"{path}: {err}") from None
+
+
+def _parse_measure(lines) -> DiscreteMeasure:
     atoms = []
     weights = []
     seen_header = False
-    with open(path, encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: not UTF-8 text") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

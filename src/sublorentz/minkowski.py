@@ -35,11 +35,6 @@ from .transport import (
 )
 
 
-def project_measure(mu: DiscreteMeasure) -> DiscreteMeasure:
-    """The same measure with every atom moved to z = 0."""
-    return DiscreteMeasure(tuple(GroupPoint(a.x, a.y, 0.0) for a in mu.atoms), mu.weights)
-
-
 def planar_cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, params: CostParams) -> CostMatrix:
     """Gains of the Minkowski plane between the (x, y) projections of the
     atoms, minkowski_tau's closed form broadcast over all pairs; z is ignored."""

@@ -3,8 +3,7 @@ properties.  Each suite returns a SuiteResult; run_suites collects them all.
 
 They are wired to the `verify` CLI subcommand, so an installation can
 certify itself without the development test tree; the whole command takes
-about 0.5 s on one vCPU of a shared 2-vCPU VM (20 pinned runs, 2026-10-20:
-0.43-0.81 s, the median pair 28 ms under the parent's; bare Python 45 ms).
+about 0.29 s pinned to one vCPU of a shared 2-vCPU VM (median of 20 runs, 2026-10-21).
 """
 
 from __future__ import annotations
@@ -88,60 +87,41 @@ def _points(u, low, high) -> list:
 
 
 _BOX = ((-1.0, -1.0, -0.5), (1.0, 1.0, 0.5))
+_TAYLOR_ORDER, _TAYLOR_REACH = 20, 1.5  # N and R of _taylor_flows
 
 
-def _rk4_flows(covs: np.ndarray, ts: np.ndarray, steps: int) -> np.ndarray:
-    """Fixed-step fourth-order integration of the geodesic equations from the
-    identity, for all flows at once.
+def _taylor_flows(covs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Final (n, 5) states (x, y, z, hX, hY) of the flows from the identity
+    with covectors covs (n, 3) for times ts, by Taylor series of the equations
+    x' = -hX, y' = hY, z' = (hX y + hY x)/2, hX' = -hZ hY and hY' = -hZ hX:
+    independent of the closed form in geodesics.flow, which they cross-check.
 
-    Independent of the closed form in geodesics.flow; used to cross-check it.
-    Row k of covs (n, 3) holds (hX, hY, hZ) and runs for time ts[k] in steps
-    steps of its own size.  Returns the final (n, 5) states (x, y, z, hX, hY);
-    hZ is constant.
+    Each step takes the coefficients c[k] from (k + 1) c[k + 1] = the k-th one
+    of the right-hand side (for z a Cauchy product, summed in order) and adds
+    them up by Horner in h.  Tail bound: with A = max(1, |hZ|), m = |hX| + |hY|
+    and B = (|x| + |y| + m)(1 + m) at a step's start, c[k] is at most
+    B (2A)^k / k! for k >= 1, so if 2Ah <= R the terms past order N sum to at
+    most B R^(N+1) / (N+1)! / (1 - R/(N+2)) < 2^-53 B for N = 20, R = 1.5.
+    The step count is the least that gives every flow 2Ah <= R.
     """
-    n = len(ts)
-    # State rows (x, y, hY, hX, z): one product of the rows (hX, hY) with f
-    # gives the slopes (-hX, hY) of (x, y) and (-hZ hX, -hZ hY) of (hY, hX).
-    # k2 and k3 hold twice the slope (factors 2f, z's slope not halved, stage
-    # steps h/4 and h/2).  Negating and doubling round exactly, so every float
-    # is the plain formula's.  Buffers, views and step factors are made once,
-    # so the loop only calls ufuncs; the factors are full (5, n) arrays, since
-    # multiplying by a broadcast (n,) row is slower.
-    s, stage = np.zeros((2, 5, n))
-    s[3:1:-1] = covs[:, :2].T
-    f = np.stack(np.broadcast_arrays([[-1.0], [1.0]], -covs[:, 2]))  # (2, 2, n)
-    f2 = 2.0 * f
-    k1, k2, k3, k4, tmp = k = np.empty((5, 5, n))
-    (q1, z1), (q2, z2), (q3, z3), (q4, z4) = ((kk[:4].reshape(2, 2, n), kk[4]) for kk in k[:4])
-    p0, p1 = prod = np.empty((2, n))  # (hX y, hY x)
-    sr, syx, tr, tyx = s[3:1:-1], s[1::-1], stage[3:1:-1], stage[1::-1]
-    times, plus = np.multiply, np.add
+    order = _TAYLOR_ORDER
+    steps = max(1, math.ceil(float(np.max(2.0 * np.maximum(1.0, np.abs(covs[:, 2])) * ts)) / _TAYLOR_REACH))
     h = ts / steps
-    quarter, half, sixth = (np.tile(c, (5, 1)) for c in (0.25 * h, 0.5 * h, h / 6.0))
+    g = np.stack(np.broadcast_arrays(-1.0, 1.0, -covs[:, 2], -covs[:, 2]))  # slopes of x, y, hX, hY
+    c = np.zeros((order + 1, 5, len(ts)))
+    c[0, 3:] = covs[:, :2].T
     for _ in range(steps):
-        times(sr, f, out=q1)
-        times(sr, syx, out=prod)
-        plus(p0, p1, out=z1)
-        z1 *= 0.5
-        plus(s, times(k1, half, out=tmp), out=stage)
-        times(tr, f2, out=q2)
-        times(tr, tyx, out=prod)
-        plus(p0, p1, out=z2)
-        plus(s, times(k2, quarter, out=tmp), out=stage)
-        times(tr, f2, out=q3)
-        times(tr, tyx, out=prod)
-        plus(p0, p1, out=z3)
-        plus(s, times(k3, half, out=tmp), out=stage)
-        times(tr, f, out=q4)
-        times(tr, tyx, out=prod)
-        plus(p0, p1, out=z4)
-        z4 *= 0.5
-        plus(k1, k2, out=tmp)
-        tmp += k3
-        tmp += k4
-        tmp *= sixth
-        s += tmp
-    return s[[0, 1, 4, 3, 2]].T
+        for k in range(order):
+            c[k + 1, [0, 1, 3, 4]] = c[k, [3, 4, 4, 3]] * g / (k + 1)
+        dz = np.zeros(c[1:, 2].shape)  # row k: the k-th coefficient of hX y + hY x
+        for j in range(order):
+            dz[j:] += c[j, 3] * c[: order - j, 1] + c[j, 4] * c[: order - j, 0]
+        c[1:, 2] = dz / (2.0 * np.arange(1.0, order + 1.0))[:, None]
+        state = c[order]
+        for coefficient in c[order - 1 :: -1]:
+            state = state * h + coefficient
+        c[0] = state
+    return state.T
 
 
 def suite_exp_log_roundtrip(seed: int) -> SuiteResult:
@@ -166,7 +146,7 @@ def suite_flow_vs_ode(seed: int) -> SuiteResult:
     for cov, t in zip(covs, ts):
         point, (hx, hy, _) = flow(IDENTITY, FrameCovector(*cov), t)
         exact.append([*point, hx, hy])
-    worst = float(np.abs(np.array(exact) - _rk4_flows(covs, ts, steps=4000)).max())
+    worst = float(np.abs(np.array(exact) - _taylor_flows(covs, ts)).max())
     return _result("flow-vs-ode", [("sup deviation", worst, 1e-8)], f" over {n} flows")
 
 

@@ -5,9 +5,10 @@ Each criterion is one test with its tolerances written literally, so a
 Oracles are recomputed here from scratch (brute-force permutation search,
 analytic densities) rather than imported from the library, with two
 exceptions: criterion 2 integrates the geodesic equations with verify's
-fixed-step RK4 (`_rk4_flows`), which shares no code with the closed-form
-flow it checks, and criterion 7 takes the potential's gradient by central
-differences (`test_brenier.fd_transport_map`), not by its closed form.
+Taylor-series oracle (`_taylor_flows`), which shares no code with the
+closed-form flow it checks, and criterion 7 takes the potential's gradient
+by central differences (`test_brenier.fd_transport_map`), not by its closed
+form.
 """
 
 import math
@@ -44,7 +45,6 @@ from sublorentz.heisenberg import (
 )
 from sublorentz.measures_io import sample_chronological_pair, sample_diamond
 from sublorentz.minkowski import (
-    project_measure,
     right_translation_verdict,
     seeded_verdict_instance,
     solve_minkowski,
@@ -60,7 +60,7 @@ from sublorentz.transport import (
     solve_kantorovich,
     strengthen_duals,
 )
-from sublorentz.verify import _rk4_flows
+from sublorentz.verify import _taylor_flows
 
 from test_brenier import fd_transport_map
 
@@ -89,33 +89,30 @@ def test_criterion_01_exp_log_roundtrip_10k_under_5s():
     assert elapsed <= 5.0
 
 
-def test_criterion_02_flow_matches_rk4_to_1e8():
+def criterion_02_flows():
+    """Criterion 2's covectors (n, 3) and times (n,): 1,000 seeded timelike
+    flows and four hand-picked regimes (planar, near-planar, extreme twist)."""
     rng = np.random.default_rng(2)
     n = 1000
     v = rng.uniform(-0.9, 0.9, size=n)
     u = -rng.uniform(np.abs(v) + 0.05, 2.0)
     w = rng.uniform(-1.5, 1.5, size=n)
     t = rng.uniform(0.05, 3.0, size=n)
-    # pin a few hand-picked regimes: planar, near-planar, extreme twist
     u = np.concatenate([u, [-1.0, -1.0, -1.2, -0.5]])
     v = np.concatenate([v, [0.3, 0.3, 0.0, 0.4]])
     w = np.concatenate([w, [0.0, 1e-6, 1.5, -1.5]])
     t = np.concatenate([t, [3.0, 3.0, 3.0, 3.0]])
-    n = len(t)
-    state = _rk4_flows(np.stack([u, v, w], 1), t, 8000)
+    return np.stack([u, v, w], 1), t
 
+
+def test_criterion_02_flow_matches_ode_to_1e8():
+    covs, t = criterion_02_flows()
+    state = _taylor_flows(covs, t)
     worst = 0.0
-    for i in range(n):
-        got = flow(IDENTITY, FrameCovector(u[i], v[i], w[i]), t[i])
-        worst = max(
-            worst,
-            abs(got.point.x - state[i, 0]),
-            abs(got.point.y - state[i, 1]),
-            abs(got.point.z - state[i, 2]),
-            abs(got.cov.hX - state[i, 3]),
-            abs(got.cov.hY - state[i, 4]),
-        )
-    print(f"criterion 2: worst flow-vs-RK4 deviation {worst:.3e} ({n} covectors)")
+    for cov, ti, row in zip(covs, t, state):
+        got = flow(IDENTITY, FrameCovector(*cov), ti)
+        worst = max(worst, *(abs(a - b) for a, b in zip((*got.point, got.cov.hX, got.cov.hY), row)))
+    print(f"criterion 2: worst flow-vs-ODE deviation {worst:.3e} ({len(t)} covectors)")
     assert worst <= 1e-8
 
 
@@ -373,7 +370,7 @@ def test_criterion_11_minkowski_lift_value():
             tuple(GroupPoint(v, v * slope, 0.0) for v in ts1), np.full(n, 1.0 / n)
         )
         native, _ = solve_kantorovich(mu, nu, P)
-        planar, _ = solve_minkowski(project_measure(mu), project_measure(nu), P)
+        planar, _ = solve_minkowski(mu, nu, P)
         worst = max(worst, abs(planar.value - native.value))
     print(f"criterion 11: worst lifted-vs-native value deviation {worst:.3e}")
     assert worst <= 1e-9

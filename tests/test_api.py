@@ -335,6 +335,29 @@ def test_verify_suites_build_results_through_one_rule():
     assert built == [("_result", "name")]
 
 
+def test_verify_flow_oracle_reads_nothing_from_geodesics():
+    # _taylor_flows integrates the geodesic equations on its own: it reads no
+    # name that verify.py imports from geodesics, so it shares no code with
+    # the closed form that flow-vs-ode checks against it
+    path = ROOT / "src" / "sublorentz" / "verify.py"
+    imported = {
+        alias.asname or alias.name
+        for node in _tree(path).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "geodesics"
+        for alias in node.names
+    }
+    assert "flow" in imported
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in _body_nodes("verify", "_taylor_flows")
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert read & (imported | {"geodesics"}) == set()
+    calls = {getattr(node.func, "id", None) for node in _body_nodes("verify", "suite_flow_vs_ode")
+             if isinstance(node, ast.Call)}
+    assert {"_taylor_flows", "flow"} <= calls
+
+
 def test_source_lines_fit_116_characters():
     # the longest line in src/ when this bound was set; a longer one is a
     # line to split, not a bound to raise

@@ -298,6 +298,18 @@ def test_measure_file_not_utf8_exits_2(command, fixture_files, tmp_path, capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "mu.txt", "nu.txt"]
 
 
+@pytest.mark.parametrize("record, message", [
+    ("atom 2 0 0 zero", "line 2: could not convert string to float: 'zero'"),
+    ("atom 2 0 0 0.6", "weights sum to 0.6, expected 1 within 1e-06"),
+])
+def test_measure_errors_name_the_file(record, message, fixture_files, tmp_path, capsys):
+    # a parse or weight error names the file it is in: one line, exit 2
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"{HEADER}\n{record}\n")
+    assert main(["solve", "--mu", str(fixture_files[0]), "--nu", str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
+
+
 def test_solve_writes_svg(fixture_files, tmp_path):
     mu, nu = fixture_files
     svg = tmp_path / "plan.svg"
@@ -399,7 +411,7 @@ def test_missing_required_argument_exits_2():
 # a change that moves any float the suites compute fails here.
 VERIFY_SEED_0 = """\
 PASS  exp-log-roundtrip           sup deviation 1.509e-12 over 2000 points
-PASS  flow-vs-ode                 sup deviation 2.376e-14 over 60 flows
+PASS  flow-vs-ode                 sup deviation 3.991e-15 over 60 flows
 PASS  tau-consistency             sup deviation 1.332e-15; planar fixture 0.000e+00
 PASS  reverse-triangle            worst violation 0.000e+00 over 2000 chains
 PASS  planar-bound                worst excess 0.000e+00 over 2000 pairs
@@ -415,7 +427,7 @@ overall PASS
 
 VERIFY_SEED_3 = """\
 PASS  exp-log-roundtrip           sup deviation 4.940e-13 over 2000 points
-PASS  flow-vs-ode                 sup deviation 6.121e-14 over 60 flows
+PASS  flow-vs-ode                 sup deviation 6.027e-14 over 60 flows
 PASS  tau-consistency             sup deviation 1.110e-15; planar fixture 0.000e+00
 PASS  reverse-triangle            worst violation 0.000e+00 over 2000 chains
 PASS  planar-bound                worst excess 0.000e+00 over 2000 pairs

@@ -121,7 +121,7 @@ def test_parse_errors_carry_context(tmp_path, body, needle):
     path.write_text(body)
     with pytest.raises(ParseError) as err:
         load_measure(path)
-    assert needle in str(err.value)
+    assert needle in str(err.value) and str(err.value).startswith(f"{path}: ")
 
 
 def test_save_plan_cost_column_sums_to_value(tmp_path):

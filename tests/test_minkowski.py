@@ -12,7 +12,6 @@ from sublorentz.heisenberg import IDENTITY, GroupPoint, mul
 from sublorentz.minkowski import (
     RightTranslationVerdict,
     planar_cost_matrix,
-    project_measure,
     right_translation_verdict,
     seeded_verdict_instance,
     solve_minkowski,
@@ -41,14 +40,21 @@ def _collinear_instance(seed, n=5, slope=0.3):
     return mu, nu
 
 
-def test_project_measure_drops_z():
-    mu = DiscreteMeasure(
-        (GroupPoint(1.0, 2.0, 3.0), GroupPoint(-1.0, 0.0, 0.5)),
-        np.array([0.25, 0.75]),
-    )
-    pm = project_measure(mu)
-    assert pm.atoms == (GroupPoint(1.0, 2.0, 0.0), GroupPoint(-1.0, 0.0, 0.0))
-    assert np.allclose(pm.weights, mu.weights)
+def test_solve_minkowski_ignores_z():
+    # the planar LP reads only x and y: moving every atom's z changes no bit
+    # of the plan or the duals
+    mu, nu = _collinear_instance(seed=3)
+    rng = np.random.default_rng(3)
+
+    def lifted(m):
+        zs = rng.uniform(-2.0, 2.0, len(m.atoms))
+        return DiscreteMeasure(tuple(GroupPoint(a.x, a.y, z) for a, z in zip(m.atoms, zs)), m.weights)
+
+    plan, duals = solve_minkowski(mu, nu, P)
+    moved_plan, moved_duals = solve_minkowski(lifted(mu), lifted(nu), P)
+    assert plan.value == moved_plan.value
+    assert np.array_equal(plan.masses, moved_plan.masses)
+    assert np.array_equal(duals.phi, moved_duals.phi) and np.array_equal(duals.psi, moved_duals.psi)
 
 
 def test_planar_cost_matrix_cone():
@@ -67,8 +73,7 @@ def test_solve_minkowski_monotone_assignment():
     # sorted sources to sorted targets on a causal line: the concave gain
     # makes the order-preserving assignment optimal
     mu, nu = _collinear_instance(seed=1)
-    pm0, pm1 = project_measure(mu), project_measure(nu)
-    plan, _ = solve_minkowski(pm0, pm1, P)
+    plan, _ = solve_minkowski(mu, nu, P)
     assert plan.support() == [(i, i) for i in range(5)]
 
 
@@ -76,7 +81,7 @@ def test_lifted_value_matches_native_lp():
     for seed in range(8):
         mu, nu = _collinear_instance(seed=seed, n=4 + seed % 3)
         native, _ = solve_kantorovich(mu, nu, P)
-        planar, _ = solve_minkowski(project_measure(mu), project_measure(nu), P)
+        planar, _ = solve_minkowski(mu, nu, P)
         assert planar.value == pytest.approx(native.value, abs=1e-9)
 
 

@@ -1,7 +1,9 @@
 """The verify layer's batched oracles give the same bits as their loops: the
-RK4 oracle steps all flows as one array, and the suites draw their random
-numbers in blocks instead of one Generator.uniform call per number.  A suite
-turns to FAIL when a check goes past its bound."""
+Taylor oracle steps all flows as one array, and the suites draw their random
+numbers in blocks instead of one Generator.uniform call per number.  The
+Taylor oracle is no less accurate than the RK4 oracle it replaced, and stays
+within its own tail bound.  A suite turns to FAIL when a check goes past its
+bound."""
 
 import itertools
 import math
@@ -30,54 +32,120 @@ from sublorentz.transport import (
     solve_kantorovich,
     strengthen_duals,
 )
-from sublorentz.verify import SuiteResult, _rk4_flows
+from sublorentz.verify import SuiteResult, _taylor_flows
+
+from test_acceptance import criterion_02_flows
 
 
-def _rk4_one(cov, t, steps):
-    """Plain RK4 for one flow from the identity, one state vector per step."""
-    hz = cov[2]
-
-    def rhs(s):
-        x, y, z, hx, hy = s
-        return np.array([-hx, hy, 0.5 * (hx * y + hy * x), -hy * hz, -hx * hz])
-
-    s = np.array([0.0, 0.0, 0.0, cov[0], cov[1]])
+def _taylor_one(cov, t, steps):
+    """The Taylor oracle's recurrence for one flow from the identity, in plain
+    floats: the coefficients of each step order by order, then Horner in h."""
+    hx0, hy0, hz = (float(v) for v in cov)
+    order = verify._TAYLOR_ORDER
     h = t / steps
+    state = [0.0, 0.0, 0.0, hx0, hy0]
     for _ in range(steps):
-        k1 = rhs(s)
-        k2 = rhs(s + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h * k2)
-        k4 = rhs(s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return s
+        x, y, z, hx, hy = ([v] for v in state)
+        for k in range(order):
+            x.append(-hx[k] / (k + 1))
+            y.append(hy[k] / (k + 1))
+            hx.append(hy[k] * -hz / (k + 1))
+            hy.append(hx[k] * -hz / (k + 1))
+        for k in range(order):
+            dz = 0.0
+            for j in range(k + 1):
+                dz += hx[j] * y[k - j] + hy[j] * x[k - j]
+            z.append(dz / (2.0 * (k + 1)))
+        state = []
+        for coefficients in (x, y, z, hx, hy):
+            value = coefficients[order]
+            for coefficient in coefficients[order - 1 :: -1]:
+                value = value * h + coefficient
+            state.append(value)
+    return state
 
 
-def test_batched_rk4_is_bit_identical_to_per_flow_loop():
+def _taylor_steps(covs, ts):
+    """The oracle's step count: the least that gives every flow 2Ah <= R."""
+    reach = max(2.0 * max(1.0, abs(w)) * t for w, t in zip(covs[:, 2], ts))
+    return max(1, math.ceil(reach / verify._TAYLOR_REACH))
+
+
+def _assert_taylor_matches_loop(covs, ts):
+    batched = _taylor_flows(covs, ts)
+    steps = _taylor_steps(covs, ts)
+    looped = np.array([_taylor_one(cov, float(t), steps) for cov, t in zip(covs, ts)])
+    assert batched.shape == (len(ts), 5)
+    assert np.array_equal(batched, looped)
+    return steps
+
+
+def test_batched_taylor_is_bit_identical_to_per_flow_loop():
     rng = np.random.default_rng(7)
     covs = np.column_stack(
         [rng.uniform(-2, 2, 5), rng.uniform(-2, 2, 5), rng.uniform(-1.5, 1.5, 5)]
     )
     ts = rng.uniform(0.2, 2.0, 5)
-    steps = 300
-    batched = _rk4_flows(covs, ts, steps)
-    looped = np.array([_rk4_one(cov, float(t), steps) for cov, t in zip(covs, ts)])
-    assert batched.shape == (5, 5)
-    assert np.array_equal(batched, looped)
+    assert _assert_taylor_matches_loop(covs, ts) > 1
 
 
-@pytest.mark.parametrize("steps", [1, 7])
+@pytest.mark.parametrize("long", [False, True], ids=["one-step", "several-steps"])
 @pytest.mark.parametrize("hz", [(0.0, 0.0), (-0.7, -1.3), (0.0, -1.1)])
 @pytest.mark.parametrize("n", [1, 2])
-def test_rk4_bit_identical_on_small_shapes(n, hz, steps):
-    # one and two flows, with hZ = 0 and hZ < 0, after one and a few steps:
+def test_taylor_bit_identical_on_small_shapes(n, hz, long):
+    # one and two flows, with hZ = 0 and hZ < 0, in one step and in several:
     # the shapes where the oracle's row views could go wrong
     rng = np.random.default_rng(11)
     covs = np.column_stack([rng.uniform(-2, 2, n), rng.uniform(-2, 2, n), hz[:n]])
-    ts = rng.uniform(0.2, 2.0, n)
-    batched = _rk4_flows(covs, ts, steps)
-    looped = np.array([_rk4_one(cov, float(t), steps) for cov, t in zip(covs, ts)])
-    assert batched.shape == (n, 5)
-    assert np.array_equal(batched, looped)
+    ts = rng.uniform(0.2, 0.5, n) * (5.0 if long else 1.0)
+    assert (_assert_taylor_matches_loop(covs, ts) > 1) == long
+
+
+# The RK4 oracle that the Taylor oracle replaced, fixed-step with 8,000 steps,
+# was 1.005e-12 off the 50-digit closed form on criterion 2's flows.
+RK4_DEVIATION = 1.005e-12
+
+
+def _mp_flow(mp, cov, t):
+    """The closed-form flow from the identity at 50 digits, (x, y, z, hX, hY)."""
+    a, b, w, t = (mp.mpf(float(v)) for v in (*cov, t))
+    if w == 0:
+        return -a * t, b * t, mp.mpf(0), a, b
+    ch, sh = mp.cosh(w * t), mp.sinh(w * t)
+    z = (a * a - b * b) * (sh - w * t) / (2 * w * w)
+    return (b * (ch - 1) - a * sh) / w, (b * sh - a * (ch - 1)) / w, z, a * ch - b * sh, b * ch - a * sh
+
+
+def test_taylor_oracle_is_no_less_accurate_than_rk4():
+    mp = pytest.importorskip("mpmath")
+    covs, ts = criterion_02_flows()
+    state = _taylor_flows(covs, ts)
+    with mp.workdps(50):
+        worst = max(
+            abs(mp.mpf(float(v)) - e)
+            for cov, t, row in zip(covs, ts, state)
+            for v, e in zip(row, _mp_flow(mp, cov, t))
+        )
+    assert worst <= RK4_DEVIATION
+    print(f"Taylor oracle vs 50 digits: {float(worst):.3e}, RK4's {RK4_DEVIATION:.3e}")
+
+
+def test_halving_the_step_moves_the_oracle_less_than_its_tail_bound(monkeypatch):
+    # Each step drops less than 2^-53 B of tail (verify._taylor_flows), and
+    # B along a flow is at most (1 + t) M (1 + M), M = (|hX| + |hY|) e^(|hZ| t):
+    # |hX| + |hY| grows at most by the factor e^(|hZ| t) and |x| + |y| at most
+    # by its integral.  So runs of S and 2S steps differ by less than
+    # 3S 2^-53 B.
+    order, reach = verify._TAYLOR_ORDER, verify._TAYLOR_REACH
+    assert reach ** (order + 1) / math.factorial(order + 1) / (1 - reach / (order + 2)) < 2.0 ** -53
+    covs, ts = criterion_02_flows()
+    coarse, steps = _taylor_flows(covs, ts), _taylor_steps(covs, ts)
+    monkeypatch.setattr(verify, "_TAYLOR_REACH", reach / 2)
+    fine = _taylor_flows(covs, ts)
+    assert _taylor_steps(covs, ts) == 2 * steps
+    grown = (np.abs(covs[:, 0]) + np.abs(covs[:, 1])) * np.exp(np.abs(covs[:, 2]) * ts)
+    bound = 3 * steps * 2.0 ** -53 * (1 + ts) * grown * (1 + grown)
+    assert np.all(np.abs(fine - coarse).max(axis=1) < bound)
 
 
 # -- the suites' draws, one Generator.uniform call per number ----------------
@@ -117,7 +185,7 @@ def _flow_vs_ode(seed):
     for cov, t in zip(covs, ts):
         point, (hx, hy, _) = flow(IDENTITY, FrameCovector(*cov), t)
         exact.append([*point, hx, hy])
-    worst = float(np.abs(np.array(exact) - _rk4_flows(covs, ts, steps=4000)).max())
+    worst = float(np.abs(np.array(exact) - _taylor_flows(covs, ts)).max())
     return SuiteResult("flow-vs-ode", worst <= 1e-8, f"sup deviation {worst:.3e} over {n} flows")
 
 
@@ -274,8 +342,8 @@ SUITES = [
 @pytest.mark.parametrize("seed", range(6))
 def test_batched_suites_match_scalar_draw_loops(seed, monkeypatch):
     # Besides the results, compare every pair the suites pass to tau and
-    # every input they pass to the RK4 oracle: the details print 4 digits,
-    # and some read 0 whatever the draws are.  Equal inputs give equal RK4
+    # every input they pass to the Taylor oracle: the details print 4 digits,
+    # and some read 0 whatever the draws are.  Equal inputs give equal
     # states, so each is integrated once.
     calls = []
     states = {}
@@ -284,17 +352,17 @@ def test_batched_suites_match_scalar_draw_loops(seed, monkeypatch):
         calls.append((a, b))
         return tau(a, b)
 
-    def recording_rk4(covs, ts, steps, rk4=_rk4_flows):
-        key = (covs.tobytes(), ts.tobytes(), steps)
+    def recording_oracle(covs, ts, oracle=_taylor_flows):
+        key = (covs.tobytes(), ts.tobytes())
         calls.append(key)
         if key not in states:
-            states[key] = rk4(covs, ts, steps)
+            states[key] = oracle(covs, ts)
         return states[key]
 
     for module in (causality, verify, sys.modules[__name__]):
         monkeypatch.setattr(module, "tau", recording)
     for module in (verify, sys.modules[__name__]):
-        monkeypatch.setattr(module, "_rk4_flows", recording_rk4)
+        monkeypatch.setattr(module, "_taylor_flows", recording_oracle)
     for batched, looped in SUITES:
         calls.clear()
         result = batched(seed)
