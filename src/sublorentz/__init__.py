@@ -27,9 +27,8 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "heisenberg": "IDENTITY GroupPoint CoordCovector FrameCovector mul group_difference coord_to_frame energy",
-    "causality": "CausalRelation PlanarPoint classify tau minkowski_tau alpha beta causal_diamond_bbox "
-                 "tau_partition_length",
+    "heisenberg": "IDENTITY GroupPoint FrameCovector mul group_difference energy",
+    "causality": "CausalRelation classify tau minkowski_tau alpha beta causal_diamond_bbox tau_partition_length",
     "geodesics": "HamiltonianState GeodesicArc flow exp_map log_map",
     "transport": "CostParams CostMatrix DiscreteMeasure TransportPlan DualPotentials cost_matrix "
                  "solve_kantorovich strengthen_duals lorentz_wasserstein duality_gap brute_force_plan "

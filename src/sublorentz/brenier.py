@@ -88,13 +88,6 @@ def _pick_branch(offsets: np.ndarray, gains: np.ndarray, where, outside: str) ->
 _PRECEDES = "{where!r} does not chronologically precede target atom {k}"
 
 
-def active_branch(pot: SemiDiscretePotential, q: GroupPoint) -> int:
-    """Index of the minimizing branch at any point q, from scalar tau calls;
-    DomainViolation off the domain, NondifferentiableAt on numerical ties."""
-    gains = pot.params.gain(np.array([tau(q, y) for y in pot.target_atoms]))
-    return _pick_branch(pot.psi, gains, q, _PRECEDES)
-
-
 def _central_diff(f, q: GroupPoint) -> np.ndarray:
     """(f(q + h e_k) - f(q - h e_k)) / (2h) for k = x, y, z, h = DEFAULT_FD_STEP.
 
@@ -120,9 +113,12 @@ def _gain_gradient(lam0: FrameCovector, cov: FrameCovector, p: float) -> FrameCo
 
 
 def potential_gradient(pot: SemiDiscretePotential, q: GroupPoint) -> FrameCovector:
-    """Gradient of the potential at q as a frame covector based at q: the closed
-    form -tau^(p-2) log_map(q, y*) on the branch y* that active_branch picks."""
-    lam = log_map(q, pot.target_atoms[active_branch(pot, q)])
+    """Gradient of the potential at any point q, as a frame covector based at q:
+    the closed form -tau^(p-2) log_map(q, y*) on the minimizing branch y*,
+    picked from scalar tau calls.  DomainViolation off the domain,
+    NondifferentiableAt on numerical ties."""
+    gains = pot.params.gain(np.array([tau(q, y) for y in pot.target_atoms]))
+    lam = log_map(q, pot.target_atoms[_pick_branch(pot.psi, gains, q, _PRECEDES)])
     return _gain_gradient(lam, lam, pot.params.p)
 
 

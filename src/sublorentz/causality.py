@@ -28,9 +28,10 @@ on floats or on arrays, so their masks agree bit for bit; no GroupPoint is
 built for the difference.  ``beta`` and ``beta_array`` run one
 straight-line kernel, a fixed number of Newton steps from a closed-form
 start, on floats or on arrays: the twist half writes its two steps out, the
-null half loops over its four.  They agree bit for bit for |zeta| <= 0.2;
-beyond, numpy's expm1 and log may differ from the math module's in the last
-bit, and so may beta, by a few ulp.
+null half loops over its four.  They still differ where numpy's cosh,
+expm1 and log differ from the math module's in the last bit: by up to
+2 ulp for |zeta| <= 0.2, where cosh does, and up to 4 ulp beyond, the
+largest differences in 5.4 million seeded draws with numpy 2.4 on x86-64.
 
 Only the array kernels import numpy, inside their bodies, so the scalar
 layers (this module, ``heisenberg``, ``geodesics``) load without it.
@@ -40,17 +41,11 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple
 
 from .errors import NotCausalChain, NotChronological, OutOfDomain
 from .heisenberg import GroupPoint, _difference
 
 DEFAULT_SLACK = 1e-12
-
-
-class PlanarPoint(NamedTuple):
-    x: float
-    y: float
 
 
 class CausalRelation(enum.Enum):
@@ -279,8 +274,9 @@ def tau_array(a, b):
     return out, causal
 
 
-def minkowski_tau(u: PlanarPoint, v: PlanarPoint) -> float:
-    """Time separation in the Minkowski plane with cone {dx >= |dy|}."""
+def minkowski_tau(u, v) -> float:
+    """Time separation in the Minkowski plane with cone {dx >= |dy|}, between
+    any two points with .x and .y, such as GroupPoints; z is not read."""
     dx = v.x - u.x
     dy = v.y - u.y
     if dx < abs(dy):

@@ -312,23 +312,22 @@ def cmd_brenier(args) -> int:
 def cmd_interpolate(args) -> int:
     import numpy as np
 
+    from .brenier import MapSample, interpolate
     from .measures_io import save_measure
     from .transport import CostParams, DiscreteMeasure, solve_kantorovich
 
     mu, nu = _load_pair(args)
     params = CostParams(args.p)
     plan, _ = solve_kantorovich(mu, nu, params)
-    support = plan.support()
-    arcs = []
-    for i, j in support:
+    rides = []
+    for i, j in plan.support():
         x, y = mu.atoms[i], nu.atoms[j]
-        cov = log_map(x, y)
-        arcs.append((float(plan.masses[i, j]), GeodesicArc(x, cov, 1.0)))
+        rides.append((float(plan.masses[i, j]), MapSample(x, y, log_map(x, y))))
     prefix = args.out or "interpolate"
-    total = sum(m for m, _ in arcs)
+    total = sum(m for m, _ in rides)
     for t in args.t:
-        atoms = [arc.point(t) for _, arc in arcs]
-        weights = np.array([m / total for m, _ in arcs])
+        atoms = [interpolate(ride, t) for _, ride in rides]
+        weights = np.array([m / total for m, _ in rides])
         path = f"{prefix}_t{t:g}.txt"
         save_measure(DiscreteMeasure(atoms, weights), path)
         print(f"wrote {path}")

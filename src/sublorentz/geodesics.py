@@ -80,9 +80,11 @@ def _flow(q0: GroupPoint, cov0: FrameCovector, t: float) -> tuple[GroupPoint, fl
 def flow(q0: GroupPoint, cov0: FrameCovector, t: float) -> HamiltonianState:
     """Integrate the geodesic flow for time t from (q0, cov0).
 
-    Exact closed form, no stepping.  Satisfies the scaling identities
-    flow(q, a*cov, t).point == flow(q, cov, a*t).point and exact conservation
-    of hZ and of the energy up to roundoff.  Raises OutOfDomain when
+    Exact closed form, no stepping.  Satisfies the scaling identity
+    flow(q, a*cov, t).point == flow(q, cov, a*t).point up to roundoff, and
+    bit for bit when a is a power of two (so exp_map(q, t*cov) and
+    flow(q, cov, t).point round apart at non-dyadic t), and conserves hZ
+    exactly and the energy up to roundoff.  Raises OutOfDomain when
     |hZ t| is past what cosh can represent (about 710), or when any output
     coordinate is not a finite float.
     """

@@ -8,15 +8,11 @@ with identity (0, 0, 0) and inverse -(x, y, z).  The left-invariant frame is
 
     X = d/dx - (y/2) d/dz,   Y = d/dy + (x/2) d/dz,   Z = d/dz.
 
-Covectors are represented two ways and always travel with an explicit base
-point at API boundaries:
-
-* coordinate components (du, dv, dw): pairings with d/dx, d/dy, d/dz;
-* frame components (hX, hY, hZ): pairings with X, Y, Z at the base point.
-
-Frame components are the left-invariant picture; they are what the
-Hamiltonian geodesic flow conserves and transports.  At the identity the two
-representations coincide.
+Covectors travel as frame components (hX, hY, hZ), pairings with X, Y, Z,
+with an explicit base point at API boundaries.  They are the left-invariant
+picture: what the Hamiltonian geodesic flow conserves and transports.  At a
+base point (x, y, z) the coordinate components (du, dv, dw), pairings with
+d/dx, d/dy, d/dz, give hX = du - (y/2) dw, hY = dv + (x/2) dw, hZ = dw.
 
 The per-pair kernels build their records with ``_new`` and skip NamedTuple's
 Python-level ``__new__``; outside input goes through the checked constructors.
@@ -31,14 +27,6 @@ class GroupPoint(NamedTuple):
     x: float
     y: float
     z: float
-
-
-class CoordCovector(NamedTuple):
-    """Covector in coordinate components at some stated base point."""
-
-    du: float
-    dv: float
-    dw: float
 
 
 class FrameCovector(NamedTuple):
@@ -77,19 +65,6 @@ def group_difference(a: GroupPoint, b: GroupPoint) -> GroupPoint:
     coordinates may also be broadcasting numpy arrays.
     """
     return _new(GroupPoint, _difference(a, b))
-
-
-def coord_to_frame(base: GroupPoint, cov: CoordCovector) -> FrameCovector:
-    """Convert coordinate components to frame components at ``base``.
-
-    Pairing du dx + dv dy + dw dz with the frame fields gives
-    hX = du - (y/2) dw, hY = dv + (x/2) dw, hZ = dw.
-    """
-    return FrameCovector(
-        cov.du - 0.5 * base.y * cov.dw,
-        cov.dv + 0.5 * base.x * cov.dw,
-        cov.dw,
-    )
 
 
 def energy(cov: FrameCovector) -> float:

@@ -89,7 +89,10 @@ def right_translation_verdict(
     nu = DiscreteMeasure(nu_atoms, mu.weights)
 
     # Per-atom time separation of the translation is tau(e, q0) for every
-    # atom, since the group difference of (q, q * q0) is exactly q0.
+    # atom, since the group difference of (q, q * q0) is q0, in floats only
+    # up to rounding: gap reads down to -8.9e-16 where the translation is
+    # optimal (polygon clusters under twisted q0), which the binade-relative
+    # gap_tol absorbs.
     tau0 = tau(IDENTITY, q0)
     map_value = params.gain(tau0)
 

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from sublorentz.brenier import (
+    _PRECEDES,
     MapSample,
     SemiDiscretePotential,
     TransportMapResult,
     _central_diff,
     _map_atoms,
-    active_branch,
+    _pick_branch,
     backward_map_from_duals,
     brenier_map,
     interpolate,
@@ -34,10 +35,8 @@ from sublorentz.errors import (
 from sublorentz.geodesics import log_map
 from sublorentz.heisenberg import (
     IDENTITY,
-    CoordCovector,
     FrameCovector,
     GroupPoint,
-    coord_to_frame,
     energy,
     sup_distance,
 )
@@ -58,14 +57,18 @@ P = CostParams(0.5)
 def fd_gradient(pot, q):
     """Finite-difference oracle for potential_gradient: central differences
     of the active branch psi_j - gain(tau(., y_j)) in exponential
-    coordinates, converted to frame components."""
-    j = active_branch(pot, q)
+    coordinates (du, dv, dw), converted to frame components at q.  The
+    branch is picked, with its domain and tie errors, as potential_gradient
+    picks it."""
+    gains = pot.params.gain(np.array([tau(q, y) for y in pot.target_atoms]))
+    j = _pick_branch(pot.psi, gains, q, _PRECEDES)
     psi_j, y = float(pot.psi[j]), pot.target_atoms[j]
 
     def branch(point):
         return psi_j - pot.params.gain(tau(point, y))
 
-    return coord_to_frame(q, CoordCovector(*_central_diff(branch, q).tolist()))
+    du, dv, dw = _central_diff(branch, q).tolist()
+    return FrameCovector(du - 0.5 * q.y * dw, dv + 0.5 * q.x * dw, dw)
 
 
 def fd_transport_map(mu, pot):
@@ -83,14 +86,17 @@ def _solved_instance(n, seed):
 
 
 def test_potential_value_and_active_branch():
+    # potential_gradient differentiates the active branch, the one that
+    # minimizes psi_j - gain(tau(x, y_j)): its gradient there is the closed
+    # form -tau^(p-2) log_map(x, y_j)
     mu, nu, plan, duals = _solved_instance(4, seed=3)
     pot = potential_from_duals(duals, nu, P)
     x = mu.atoms[0]
-    j = active_branch(pot, x)
-    val = pot.psi[j] - P.gain(tau(x, nu.atoms[j]))
-    assert val <= min(
-        pot.psi[k] - P.gain(tau(x, y)) for k, y in enumerate(nu.atoms)
-    ) + 1e-12
+    vals = [pot.psi[k] - P.gain(tau(x, y)) for k, y in enumerate(nu.atoms)]
+    j = int(np.argmin(vals))
+    lam = log_map(x, nu.atoms[j])
+    s = tau(x, nu.atoms[j]) ** (P.p - 2.0)
+    assert tuple(potential_gradient(pot, x)) == pytest.approx((-s * lam.hX, -s * lam.hY, -s * lam.hZ), rel=1e-12)
 
 
 def test_potential_gradient_fd_matches_analytic():

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from sublorentz import causality
 from sublorentz.causality import (
     CausalRelation,
-    PlanarPoint,
     alpha,
     beta,
     beta_array,
@@ -253,11 +252,10 @@ def test_tau_symmetric_in_z_sign_and_y_sign():
 
 
 def test_minkowski_tau():
-    assert minkowski_tau(PlanarPoint(0.0, 0.0), PlanarPoint(2.0, 1.0)) == pytest.approx(
-        math.sqrt(3.0)
-    )
-    assert minkowski_tau(PlanarPoint(1.0, 1.0), PlanarPoint(2.0, 2.0)) == 0.0
-    assert minkowski_tau(PlanarPoint(0.0, 0.0), PlanarPoint(1.0, 2.0)) == 0.0
+    # any points with .x and .y; the z of a GroupPoint is not read
+    assert minkowski_tau(IDENTITY, GroupPoint(2.0, 1.0, 5.0)) == pytest.approx(math.sqrt(3.0))
+    assert minkowski_tau(GroupPoint(1.0, 1.0, -3.0), GroupPoint(2.0, 2.0, 0.0)) == 0.0
+    assert minkowski_tau(IDENTITY, GroupPoint(1.0, 2.0, 0.0)) == 0.0
 
 
 # --- diamond bounding box ---------------------------------------------------

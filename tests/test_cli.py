@@ -377,6 +377,33 @@ def test_interpolate_quarter_point(fixture_files, tmp_path):
     assert xs[1] == pytest.approx(0.9, abs=1e-9)
 
 
+def test_interpolate_writes_brenier_interpolate_points(tmp_path):
+    # each support pair (x, y) rides MapSample(x, y, log_map(x, y)), and the
+    # file at t holds brenier.interpolate's points for those rides bit for
+    # bit; at dyadic t, where t * log_map(x, y) is exact, they are also the
+    # bits of the flow for time t along log_map(x, y)
+    from sublorentz.brenier import MapSample, interpolate
+    from sublorentz.geodesics import GeodesicArc, log_map
+    from sublorentz.transport import CostParams, solve_kantorovich
+
+    files = [str(tmp_path / name) for name in ("mu.txt", "nu.txt")]
+    for measure, path in zip(sample_chronological_pair(12, 12, seed=3, weights="random"), files):
+        save_measure(measure, path)
+    prefix = str(tmp_path / "disp")
+    assert main(["interpolate", "--mu", files[0], "--nu", files[1], "--t", "0.25,0.5,0.75", "--out", prefix]) == 0
+    mu, nu = map(load_measure, files)  # as the command reads them, renormalized
+    plan, _ = solve_kantorovich(mu, nu, CostParams(0.5))
+    pairs = [(mu.atoms[i], nu.atoms[j]) for i, j in plan.support()]
+    rides = [MapSample(x, y, log_map(x, y)) for x, y in pairs]
+    masses = np.array([plan.masses[i, j] for i, j in plan.support()])
+    for t in (0.25, 0.5, 0.75):
+        assert load_measure(f"{prefix}_t{t:g}.txt").atoms == tuple(interpolate(r, t) for r in rides)
+    flowed = tmp_path / "flowed.txt"
+    save_measure(DiscreteMeasure([GeodesicArc(x, log_map(x, y), 1.0).point(0.5) for x, y in pairs],
+                                 masses / sum(masses.tolist())), str(flowed))
+    assert Path(f"{prefix}_t0.5.txt").read_bytes() == flowed.read_bytes()
+
+
 def test_right_translation_verdicts(fixture_files, tmp_path, capsys):
     mu, _ = fixture_files
     assert main(["right-translation", "--mu", str(mu), "--q0", "2,0.5,0"]) == 0

